@@ -23,6 +23,7 @@ from .enumeration import (
 from .errors import (
     EmptyVertexSet,
     GroundSetTooLarge,
+    InconsistentResult,
     InvalidLevel,
     NotAnFVector,
     NotSelfDual,

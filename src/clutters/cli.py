@@ -100,18 +100,17 @@ def cmd_star(args) -> int:
 
 def cmd_upset(args) -> int:
     up = sets.up_closure(_min_clutter(args.file))
-    fam = up.family()
-    fv = vectors.f_vector(fam)
+    fv = vectors.f_vector(up)
     if args.json:
-        out = {"t": fam.t, "count": len(fam), "f": list(fv.counts)}
+        out = {"t": up.t, "count": up.size(), "f": list(fv.counts)}
         if args.list:
-            out["members"] = [list(s) for s in fam.sets()]
+            out["members"] = [list(s) for s in up.family().sets()]
         _emit_json(out)
     elif args.list:
-        print(familyio.format_family(fam), end="")
+        print(familyio.format_family(up.family()), end="")
     else:
-        print(f"t: {fam.t}")
-        print(f"count: {len(fam)}")
+        print(f"t: {up.t}")
+        print(f"count: {up.size()}")
         print(f"f: {_vec(fv.counts)}")
     return 0
 
@@ -121,9 +120,9 @@ def _min_clutter(path: str) -> sets.Clutter:
     return sets.min_elements(_family(path))
 
 
-def _vector_family(args) -> sets.SetFamily:
+def _vector_family(args) -> sets.SetFamily | sets.UpFamily:
     if args.upset:
-        return sets.up_closure(_min_clutter(args.file)).family()
+        return sets.up_closure(_min_clutter(args.file))
     return _family(args.file)
 
 
@@ -275,6 +274,8 @@ def cmd_identities(args) -> int:
     if args.random:
         if args.t is None:
             raise InputError("--random requires --t")
+        if args.n < 1:
+            raise InputError(f"--n must be at least 1, got {args.n}")
         reports = []
         for i in range(args.n):
             fam = identities.random_star_selfdual(args.t, args.seed + i)

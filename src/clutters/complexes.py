@@ -7,6 +7,9 @@ notions of self-duality appear here:
   * Alexander self-duality, D = dual(D), taken relative to the vertex set
     V(D) only.
 
+Complexes are dense objects: validation, closure and both duals run on
+the family's 2^t-bit bitmap, so every complex needs t <= 28.
+
 The Alexander dual is {V - F : F subset of V, F not a face}. The defining
 condition presumes V(dual) = V(D); when that fails (including the case of
 an empty dual) the result carries an explicit vertex_mismatch flag rather
@@ -18,15 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import EmptyVertexSet, GroundSetTooLarge, NotStarSelfDual
+from .errors import EmptyVertexSet, InconsistentResult, NotStarSelfDual
 from .sets import (
-    DENSE_MAX_T,
     Clutter,
     SetFamily,
-    check_dense,
-    iter_subsets,
+    down_bitmap,
+    iter_bits,
     max_elements,
-    star,
+    star_bitmap,
 )
 from .vectors import binom, f_vector
 
@@ -38,18 +40,15 @@ class Complex:
     family: SetFamily
 
     def __post_init__(self) -> None:
-        faces = self.family._member_set
-        if not faces:
+        f = self.family
+        if not f.members:
             raise ValueError("a complex has at least the empty face")
-        for m in self.family.members:
-            bit = m
-            while bit:
-                low = bit & -bit
-                if m ^ low not in faces:
-                    raise ValueError(
-                        f"not downward closed: face {m:b} lacks subset {m ^ low:b}"
-                    )
-                bit ^= low
+        if down_bitmap(f.bitmap, f.t) != f.bitmap:
+            # name the first face, in canonical order, that lacks a subset
+            faces = f._member_set
+            m, s = next((m, m ^ 1 << i) for m in f.members for i in iter_bits(m)
+                        if m ^ 1 << i not in faces)
+            raise ValueError(f"not downward closed: face {m:b} lacks subset {s:b}")
 
     @property
     def t(self) -> int:
@@ -76,13 +75,9 @@ class Complex:
 
 def down_closure(f: SetFamily) -> Complex:
     """Smallest complex containing every member of f (t <= 28)."""
-    check_dense(f.t)
     if not f.members:
         raise ValueError("cannot build a complex from an empty family")
-    faces: set[int] = set()
-    for m in f.members:
-        faces.update(iter_subsets(m))
-    return Complex(SetFamily(f.t, tuple(faces)))
+    return Complex(SetFamily.from_bitmap(f.t, down_bitmap(f.bitmap, f.t)))
 
 
 def facets(c: Complex) -> Clutter:
@@ -108,37 +103,42 @@ class AlexanderDual:
 
 
 def alexander_dual(c: Complex) -> AlexanderDual:
-    """Dual {V - F : F in 2^V - D} computed relative to V = V(D)."""
+    """Dual {V - F : F in 2^V - D} computed relative to V = V(D).
+
+    With W = E_t - V, the map F -> F + W sends D into the sets containing
+    W, and V - F = E_t - (F + W); so the dual is the part of
+    star({F + W : F in D}) inside 2^V. Adding W is a shift of the bitmap.
+    """
+    t = c.t
     v = c.vertex_mask
     if v == 0:
         raise EmptyVertexSet("the complex {0} has no vertices to dualize over")
-    if v.bit_count() > DENSE_MAX_T:
-        raise GroundSetTooLarge(
-            f"vertex set has {v.bit_count()} elements, dense dual needs <= {DENSE_MAX_T}"
-        )
-    faces = c.family._member_set
-    dual = SetFamily(c.t, tuple(v ^ s for s in iter_subsets(v) if s not in faces))
-    return AlexanderDual(dual, dual.vertex_mask() != v)
+    w = v ^ ((1 << t) - 1)
+    dual = star_bitmap(c.family.bitmap << w, t) & down_bitmap(1 << v, t)
+    fam = SetFamily.from_bitmap(t, dual)
+    return AlexanderDual(fam, fam.vertex_mask() != v)
 
 
 def is_alexander_self_dual(c: Complex) -> bool:
     """D = dual(D), evaluated structurally.
 
     The cardinality test #D = 2^(|V|-1) is evaluated alongside; equality
-    of D and its dual forces it, and that direction is asserted. The
-    converse is false: {0,1,2,3,4,13,14,24} on V = E_4 has 8 = 2^3 faces
-    but differs from its dual.
+    of D and its dual forces it, and InconsistentResult is raised if that
+    direction fails. The converse is false: {0,1,2,3,4,13,14,24} on
+    V = E_4 has 8 = 2^3 faces but differs from its dual.
     """
     d = alexander_dual(c)
     structural = not d.vertex_mismatch and d.family == c.family
     by_count = len(c.family) == 1 << (c.vertex_mask.bit_count() - 1)
-    assert by_count or not structural, "self-dual complex with wrong face count"
+    if structural and not by_count:
+        raise InconsistentResult("Alexander self-dual complex with a wrong face count")
     return structural
 
 
 def is_star_self_dual(c: Complex) -> bool:
     """star(D) = D relative to the full ground set E_t (t <= 28)."""
-    return star(c.family) == c.family
+    bm = c.family.bitmap
+    return star_bitmap(bm, c.t) == bm
 
 
 def check_star_selfdual_facts(c: Complex) -> dict:

@@ -6,8 +6,8 @@ bitmap over all 2^t subsets. Branches are cut when the up-family exceeds
 2^(t-1) members (self-dual clutters generate exactly that many) or when
 the remaining candidates cannot reach that count. Cardinality alone does
 not certify self-duality (see self_dual_criterion), so every hit is
-filtered by the one-member-per-complementary-pair test on its up-family
-bitmap and then certified with an actual blocker computation.
+filtered by the one-member-per-complementary-pair test star(F) = F on
+its up-family bitmap and then certified with an actual blocker computation.
 
 Each self-dual clutter is emitted exactly once: an antichain is reached
 only by choosing its members in candidate order, and distinct antichains
@@ -20,17 +20,20 @@ import multiprocessing
 from dataclasses import dataclass
 
 from .complexes import Complex, is_star_self_dual
-from .errors import GroundSetTooLarge
+from .errors import GroundSetTooLarge, NotSelfDual, NotStarSelfDual
 from .identities import check_appendix
 from .kks import verify_lemma2, verify_theorem3
 from .sets import (
     Clutter,
     SetFamily,
+    UpFamily,
     blocker,
     check_ground_set,
+    complement_bitmap,
     is_self_dual,
-    iter_supersets,
     self_dual_criterion,
+    star_bitmap,
+    up_bitmap,
     up_closure,
 )
 
@@ -51,23 +54,11 @@ def _candidates(t: int) -> list[int]:
 def _tables(t: int):
     """Per-candidate superset bitmaps and suffix unions."""
     cands = _candidates(t)
-    up = {}
-    for c in cands:
-        bm = 0
-        for s in iter_supersets(c, t):
-            bm |= 1 << s
-        up[c] = bm
+    up = {c: up_bitmap(1 << c, t) for c in cands}
     suffix = [0] * (len(cands) + 1)
     for j in range(len(cands) - 1, -1, -1):
         suffix[j] = suffix[j + 1] | up[cands[j]]
     return cands, up, suffix
-
-
-def _pair_closed(bm: int, t: int) -> bool:
-    """Bitmap holds exactly one subset of each complementary pair, i.e.
-    the family it encodes satisfies star(F) = F."""
-    n = 1 << t
-    return int(f"{bm:0{n}b}"[::-1], 2) == ~bm & ((1 << n) - 1)
 
 
 def _subtree(args: tuple[int, int]) -> list[tuple[int, ...]]:
@@ -88,7 +79,7 @@ def _subtree(args: tuple[int, int]) -> list[tuple[int, ...]]:
             if ns > half:
                 continue
             if ns == half:
-                if _pair_closed(nb, t):
+                if star_bitmap(nb, t) == nb:
                     out.append(chosen + (c,))
             elif (nb | suffix[j + 1]).bit_count() >= half:
                 rec(j + 1, chosen + (c,), nb)
@@ -96,7 +87,7 @@ def _subtree(args: tuple[int, int]) -> list[tuple[int, ...]]:
     c0 = cands[j0]
     bm0 = up[c0]
     if bm0.bit_count() == half:
-        if _pair_closed(bm0, t):
+        if star_bitmap(bm0, t) == bm0:
             out.append((c0,))
     elif (bm0 | suffix[j0 + 1]).bit_count() >= half:
         rec(j0 + 1, (c0,), bm0)
@@ -126,15 +117,15 @@ def enumerate_self_dual(t: int, workers: int = 1) -> EnumerationResult:
     for chunk in chunks:
         for masks in chunk:
             cl = Clutter(t, masks)
-            assert blocker(cl) == cl, "search hit failed blocker certification"
+            if blocker(cl) != cl:
+                raise NotSelfDual(f"search hit {cl!r} failed blocker certification")
             clutters.append(cl)
     return EnumerationResult(t, len(clutters), tuple(clutters))
 
 
-def complement_complex(u: SetFamily) -> Complex:
+def complement_complex(u: SetFamily | UpFamily) -> Complex:
     """The complex 2^[t] - F for an increasing family F with F* = F."""
-    memb = u._member_set
-    return Complex(SetFamily(u.t, tuple(g for g in range(1 << u.t) if g not in memb)))
+    return Complex(SetFamily.from_bitmap(u.t, complement_bitmap(u.bitmap, u.t)))
 
 
 def enumerate_star_selfdual_complexes(t: int, workers: int = 1) -> EnumerationResult:
@@ -143,8 +134,9 @@ def enumerate_star_selfdual_complexes(t: int, workers: int = 1) -> EnumerationRe
     res = enumerate_self_dual(t, workers=workers)
     complexes = []
     for cl in res.items:
-        cx = complement_complex(up_closure(cl).family())
-        assert is_star_self_dual(cx), "bijection image failed star check"
+        cx = complement_complex(up_closure(cl))
+        if not is_star_self_dual(cx):
+            raise NotStarSelfDual(f"bijection image of {cl!r} failed the star check")
         complexes.append(cx)
     return EnumerationResult(t, len(complexes), tuple(complexes))
 
@@ -166,12 +158,12 @@ def verify_universe(
     if t % 2 == 0:
         t3 = l2 = app = 0
         for cl in res.items:
-            uf = up_closure(cl).family()
+            up = up_closure(cl)
             if verify_theorem3(cl)["pass"]:
                 t3 += 1
-            if verify_lemma2(complement_complex(uf))["pass"]:
+            if verify_lemma2(complement_complex(up))["pass"]:
                 l2 += 1
-            if check_appendix(uf)["pass"]:
+            if check_appendix(up.family())["pass"]:
                 app += 1
         failures = 3 * res.count - t3 - l2 - app
         report["theorem3"] = {"passed": t3, "failed": res.count - t3}

@@ -31,3 +31,8 @@ class OddGroundSet(ValueError):
 
 class InvalidLevel(ValueError):
     """Cascade level must be a positive integer."""
+
+
+class InconsistentResult(RuntimeError):
+    """Two independent computations of the same fact disagree (a defect,
+    not bad input)."""

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotStarSelfDual
-from .sets import SetFamily, check_dense, full_mask
+from .sets import SetFamily, check_dense, full_mask, star_bitmap
 from .vectors import binom, f_vector, h_from_f
 
 
@@ -33,9 +33,8 @@ class StarSelfDualFamily:
 
     def __post_init__(self) -> None:
         f = self.family
-        memb = f._member_set
-        full = full_mask(f.t)
-        if len(memb) != 1 << (f.t - 1) or any(full ^ g in memb for g in memb):
+        # the count rejects most families before any 2^t-bit work
+        if len(f) != 1 << (f.t - 1) or star_bitmap(f.bitmap, f.t) != f.bitmap:
             raise NotStarSelfDual(
                 "family must contain exactly one set of each complementary pair"
             )
@@ -63,7 +62,7 @@ def random_star_selfdual(t: int, seed: int) -> StarSelfDualFamily:
     return StarSelfDualFamily(SetFamily(t, tuple(members)))
 
 
-def _all(name: str, t: int, pred) -> str:
+def _all(t: int, pred) -> str:
     for l in range(t + 1):
         if not pred(l):
             return f"fail (l={l})"
@@ -87,39 +86,39 @@ def check_appendix(f: StarSelfDualFamily | SetFamily) -> dict:
     C = binom
     checks: dict[str, str] = {}
 
-    checks["eq28"] = _all("eq28", t, lambda l: fc[l] + fc[t - l] == C(t, l))
+    checks["eq28"] = _all(t, lambda l: fc[l] + fc[t - l] == C(t, l))
     checks["h_pair_sum"] = _all(
-        "h_pair_sum", t,
+        t,
         lambda l: sum(C(t - k, t - l) * hc[k] for k in range(l + 1))
         + sum(C(t - j, l) * hc[j] for j in range(t - l + 1))
         == C(t, l),
     )
     checks["h_complement_form"] = _all(
-        "h_complement_form", t,
+        t,
         lambda l: hc[l]
         == (-1) ** l
         * sum((-1) ** k * C(t - k, t - l) * (C(t, k) - fc[t - k]) for k in range(l + 1)),
     )
     checks["eq21"] = _all(
-        "eq21", t,
+        t,
         lambda l: hc[l]
         == (1 if l == 0 else 0)
         - (-1) ** (t - l)
         * sum((-1) ** j * C(j, t - l) * fc[j] for j in range(t - l, t + 1)),
     )
     checks["eq14"] = _all(
-        "eq14", t,
+        t,
         lambda l: fc[l] == C(t, l) - sum(C(t - j, l) * hc[j] for j in range(t - l + 1)),
     )
     checks["f_delta"] = _all(
-        "f_delta", t,
+        t,
         lambda l: (-1) ** l * sum((-1) ** k * C(t - k, t - l) * fc[k] for k in range(l + 1))
         + (-1) ** (t - l)
         * sum((-1) ** j * C(j, t - l) * fc[j] for j in range(t - l, t + 1))
         == (1 if l == 0 else 0),
     )
     checks["eq23"] = _all(
-        "eq23", t,
+        t,
         lambda l: hc[l]
         == (1 if l == 0 else 0)
         + (-1) ** (l + 1) * sum(C(k, l) * hc[k] for k in range(l, t + 1)),

@@ -207,7 +207,7 @@ def verify_theorem3(a: Clutter) -> dict:
         raise OddGroundSet(f"theorem3 bounds need even t, got {a.t}")
     if not is_self_dual(a):
         raise NotSelfDual("clutter does not equal its blocker")
-    fv = f_vector(up_closure(a).family())
+    fv = f_vector(up_closure(a))
     report = _verify_against(theorem3_table(a.t), fv)
     report["self_dual"] = True
     return report

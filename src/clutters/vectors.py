@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GroundSetTooLarge, NotAnFVector
-from .sets import DENSE_MAX_T, SetFamily, check_dense, full_mask, star
+from .errors import NotAnFVector
+from .sets import SetFamily, UpFamily, complement_bitmap, layer_counts, star_bitmap
 
 PASCAL_MAX_N = 62
 
@@ -78,8 +78,11 @@ class HVector:
         return self.values[k]
 
 
-def f_vector(f: SetFamily) -> FVector:
-    """Size histogram of the family's members."""
+def f_vector(f: SetFamily | UpFamily) -> FVector:
+    """Size histogram of the family's members. An up-family is counted on
+    its bitmap, so its members are never listed."""
+    if isinstance(f, UpFamily):
+        return FVector(f.t, layer_counts(f.bitmap, f.t))
     counts = [0] * (f.t + 1)
     for m in f.members:
         counts[m.bit_count()] += 1
@@ -109,7 +112,7 @@ def f_from_h(hv: HVector) -> FVector:
     return FVector(t, counts)
 
 
-def h_vector(f: SetFamily) -> HVector:
+def h_vector(f: SetFamily | UpFamily) -> HVector:
     return h_from_f(f_vector(f))
 
 
@@ -141,10 +144,7 @@ def check_h_identities(f: SetFamily) -> dict[str, bool]:
         == len(f)
         == fv.total(),
     }
-    check_dense(t)
-    memb = f._member_set
-    rest = SetFamily(t, tuple(g for g in range(1 << t) if g not in memb))
-    hc = h_vector(rest)
+    hc = h_from_f(FVector(t, layer_counts(complement_bitmap(f.bitmap, t), t)))
     out["remark_iv"] = tuple(a + b for a, b in zip(hv.values, hc.values)) == (
         (1,) + (0,) * t
     )
@@ -153,7 +153,7 @@ def check_h_identities(f: SetFamily) -> dict[str, bool]:
 
 
 def check_star_relations(f: SetFamily) -> dict[str, bool]:
-    """Relations between a family and its star F*, computed materially.
+    """Relations between a family and its star F*, computed on F*'s bitmap.
 
       star_count  #F* + #F = 2^t
       star_f      f_l(F*) + f_{t-l}(F) = C(t,l) for all l
@@ -163,11 +163,12 @@ def check_star_relations(f: SetFamily) -> dict[str, bool]:
       ht_sign     h_t(F*) = (-1)^(t+1) h_t(F)
     """
     t = f.t
-    fs = star(f)
+    fs = star_bitmap(f.bitmap, t)
     fv, hv = f_vector(f), h_vector(f)
-    sv, sh = f_vector(fs), h_vector(fs)
+    sv = FVector(t, layer_counts(fs, t))
+    sh = h_from_f(sv)
     return {
-        "star_count": len(fs) + len(f) == 1 << t,
+        "star_count": fs.bit_count() + len(f) == 1 << t,
         "star_f": all(sv[l] + fv[t - l] == binom(t, l) for l in range(t + 1)),
         "eq19": all(
             sh[l]

@@ -1,0 +1,108 @@
+"""Naive tuple-loop oracles for the dense bitmap kernel.
+
+These are the loops over all 2^t subsets that the package used before
+its dense operations moved to 2^t-bit bitmaps. They work on plain mask
+tuples, share no code with `clutters.sets`' kernel, and are meant for
+small t only.
+"""
+
+
+def iter_supersets(mask, t):
+    """All supersets of mask within E_t."""
+    rest = ((1 << t) - 1) ^ mask
+    s = rest
+    while True:
+        yield mask | s
+        if s == 0:
+            return
+        s = (s - 1) & rest
+
+
+def iter_subsets(mask):
+    """All subsets of mask, including 0 and mask itself."""
+    s = mask
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & mask
+
+
+def up_family(members, t):
+    """Up-closure within 2^[t], member by member."""
+    out = set()
+    for g in members:
+        out.update(iter_supersets(g, t))
+    return tuple(sorted(out))
+
+
+def down_family(members):
+    """Down-closure, member by member."""
+    out = set()
+    for m in members:
+        out.update(iter_subsets(m))
+    return tuple(sorted(out))
+
+
+def is_down_closed(members):
+    """Every face minus one element is a face."""
+    faces = set(members)
+    return all(m ^ (1 << i) in faces for m in faces for i in range(m.bit_length()) if m >> i & 1)
+
+
+def minimal_members(members):
+    """Members S with no member S - {e} (the minimal members of an up-set)."""
+    memb = set(members)
+    return tuple(sorted(
+        m for m in memb
+        if not any(m >> i & 1 and m ^ (1 << i) in memb for i in range(m.bit_length()))
+    ))
+
+
+def f_counts(members, t):
+    counts = [0] * (t + 1)
+    for m in members:
+        counts[m.bit_count()] += 1
+    return counts
+
+
+def rest_family(members, t):
+    """2^[t] - F by a scan of all subsets."""
+    memb = set(members)
+    return tuple(g for g in range(1 << t) if g not in memb)
+
+
+def star(members, t):
+    """Star by definition: complements of the non-members."""
+    full = (1 << t) - 1
+    memb = set(members)
+    return tuple(sorted(full ^ g for g in range(1 << t) if g not in memb))
+
+
+def blocker_sweep(members, t):
+    """Blocker by a sweep of all subsets: every blocking set, then the ones
+    that stay blocking under no single-element removal."""
+    blocking = [b for b in range(1 << t) if all(b & m for m in members)]
+    bset = set(blocking)
+    return tuple(
+        b for b in blocking
+        if not any(b >> i & 1 and b ^ (1 << i) in bset for i in range(t))
+    )
+
+
+def blocker_brute(members, t):
+    """Blocking sets by full scan; minimality by scanning all proper subsets."""
+    blocking = [b for b in range(1 << t) if all(b & a for a in members)]
+    bset = set(blocking)
+    minimal = []
+    for b in blocking:
+        proper = [s for s in range(1 << t) if s & ~b == 0 and s != b]
+        if not any(s in bset for s in proper):
+            minimal.append(b)
+    return tuple(sorted(minimal))
+
+
+def alexander_dual(faces, v):
+    """{V - F : F subset of V, F not a face}, by a scan of 2^V."""
+    memb = set(faces)
+    return tuple(sorted(v ^ s for s in iter_subsets(v) if s not in memb))

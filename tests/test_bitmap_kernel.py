@@ -1,0 +1,228 @@
+"""Differential and property tests for the dense bitmap kernel in sets.py.
+
+Every kernel operation is checked against the tuple loops in oracles.py,
+the blocker backends against each other and against brute force, and the
+split path (cubes above the mask-cache limit) against the cached path.
+"""
+
+import contextlib
+import math
+from itertools import combinations
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from clutters import (
+    Clutter,
+    Complex,
+    NotStarSelfDual,
+    SetFamily,
+    StarSelfDualFamily,
+    alexander_dual,
+    blocker,
+    blocker_berge,
+    blocker_dense,
+    complement_complex,
+    down_closure,
+    f_vector,
+    min_elements,
+    up_closure,
+)
+from clutters import sets
+from clutters.sets import (
+    DENSE_MAX_T,
+    bitmap_of,
+    complement_bitmap,
+    down_bitmap,
+    layer_counts,
+    members_of,
+    minimal_bitmap,
+    star_bitmap,
+    up_bitmap,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def families(draw, max_t=8):
+    t = draw(st.integers(1, max_t))
+    members = draw(st.sets(st.integers(0, (1 << t) - 1), max_size=min(1 << t, 48)))
+    return t, tuple(sorted(members))
+
+
+@st.composite
+def clutters(draw, max_t=8, nontrivial=False):
+    t, members = draw(families(max_t))
+    cl = min_elements(SetFamily(t, members))
+    if nontrivial:
+        assume(cl.nontrivial)
+    return cl
+
+
+@contextlib.contextmanager
+def cache_limit(limit):
+    """Run with masks cached only up to `limit`, so larger cubes split."""
+    saved = sets._CACHE_T
+    sets._CACHE_T = limit
+    try:
+        yield
+    finally:
+        sets._CACHE_T = saved
+
+
+# --- encode / decode ---------------------------------------------------------
+
+@SETTINGS
+@given(families())
+def test_encode_decode_round_trip(tf):
+    t, members = tf
+    bm = bitmap_of(members, t)
+    assert bm == sum(1 << m for m in members)
+    assert members_of(bm, t) == members
+    fam = SetFamily.from_bitmap(t, bm)
+    assert fam == SetFamily(t, members)
+    assert SetFamily(t, members).bitmap == bm
+
+
+def test_decode_skips_long_zero_runs():
+    t = 16
+    members = (0, 7, 8, 4095, 40000, (1 << t) - 1)
+    assert members_of(bitmap_of(members, t), t) == members
+    assert members_of(0, t) == ()
+
+
+# --- kernel operations against the tuple loops ---------------------------------
+
+@SETTINGS
+@given(families())
+def test_kernel_matches_tuple_loops(tf):
+    t, members = tf
+    bm = bitmap_of(members, t)
+    up = up_bitmap(bm, t)
+    assert members_of(up, t) == oracles.up_family(members, t)
+    assert members_of(down_bitmap(bm, t), t) == oracles.down_family(members)
+    assert members_of(minimal_bitmap(bm, t), t) == oracles.minimal_members(members)
+    assert members_of(minimal_bitmap(up, t), t) == min_elements(SetFamily(t, members)).members
+    assert layer_counts(bm, t) == oracles.f_counts(members, t)
+    assert members_of(complement_bitmap(bm, t), t) == oracles.rest_family(members, t)
+
+
+@SETTINGS
+@given(families())
+def test_star_matches_definition_and_involutes(tf):
+    t, members = tf
+    bm = bitmap_of(members, t)
+    s = star_bitmap(bm, t)
+    assert members_of(s, t) == oracles.star(members, t)
+    assert star_bitmap(s, t) == bm
+    assert s.bit_count() + bm.bit_count() == 1 << t
+
+
+@SETTINGS
+@given(families())
+def test_split_path_matches_cached_path(tf):
+    t, members = tf
+    bm = bitmap_of(members, t)
+    up = up_bitmap(bm, t)
+    want = (up, down_bitmap(bm, t), minimal_bitmap(bm, t), minimal_bitmap(up, t),
+            layer_counts(bm, t))
+    with cache_limit(1):
+        got = (up_bitmap(bm, t), down_bitmap(bm, t), minimal_bitmap(bm, t),
+               minimal_bitmap(up, t), layer_counts(bm, t))
+    assert got == want
+
+
+# --- blocker ---------------------------------------------------------------------
+
+@SETTINGS
+@given(clutters())
+def test_blocker_backends_agree_with_brute_force(cl):
+    want = oracles.blocker_brute(cl.members, cl.t)
+    assert oracles.blocker_sweep(cl.members, cl.t) == want
+    assert blocker_dense(cl).members == want
+    assert blocker_berge(cl).members == want
+    assert blocker(cl).members == want
+
+
+@SETTINGS
+@given(clutters(nontrivial=True))
+def test_blocker_is_an_involution(cl):
+    for method in ("dense", "berge"):
+        assert blocker(blocker(cl, method=method), method=method) == cl
+
+
+@SETTINGS
+@given(clutters())
+def test_blocker_up_closure_is_star_of_up_closure(cl):
+    b = blocker_dense(cl)
+    assert up_closure(b).bitmap == star_bitmap(up_closure(cl).bitmap, cl.t)
+    assert up_closure(b).family().members == oracles.star(
+        oracles.up_family(cl.members, cl.t), cl.t)
+
+
+# --- complexes and star-self-dual families ---------------------------------------------
+
+@SETTINGS
+@given(families(max_t=7))
+def test_complex_operations_match_tuple_loops(tf):
+    t, members = tf
+    assume(members)
+    c = down_closure(SetFamily(t, members))
+    assert c.family.members == oracles.down_family(members)
+    if c.vertex_mask:
+        d = alexander_dual(c)
+        assert d.family.members == oracles.alexander_dual(c.family.members, c.vertex_mask)
+    if oracles.is_down_closed(members):
+        assert Complex(SetFamily(t, members)).family.members == members
+    else:
+        with pytest.raises(ValueError, match="not downward closed"):
+            Complex(SetFamily(t, members))
+
+
+@SETTINGS
+@given(clutters(max_t=7))
+def test_complement_complex_matches_tuple_loop(cl):
+    up = up_closure(cl)
+    assume(up.size() < 1 << cl.t)
+    cx = complement_complex(up)
+    assert cx.family.members == oracles.rest_family(up.family().members, cl.t)
+
+
+@SETTINGS
+@given(families(max_t=6))
+def test_star_self_dual_family_pair_check(tf):
+    t, members = tf
+    fam = SetFamily(t, members)
+    if oracles.star(members, t) == members:
+        assert StarSelfDualFamily(fam).family == fam
+    else:
+        with pytest.raises(NotStarSelfDual):
+            StarSelfDualFamily(fam)
+
+
+# --- one large cube ------------------------------------------------------------------
+
+def test_t24_blocker_and_f_vector_of_a_small_clutter():
+    t = 24
+    assert t <= DENSE_MAX_T
+    a = Clutter.from_sets(t, [[1, 2, 3], [3, 4, 5, 6], [7, 8], [2, 9, 24]])
+    assert blocker_dense(a) == blocker_berge(a)
+    # inclusion-exclusion over the members: the k-sets containing all of a
+    # union U number C(t - |U|, k - |U|), and all of them 2^(t - |U|)
+    f = [0] * (t + 1)
+    total = 0
+    for r in range(1, len(a) + 1):
+        for group in combinations(a.members, r):
+            u = 0
+            for g in group:
+                u |= g
+            size, sign = u.bit_count(), (-1) ** (r + 1)
+            total += sign * 2 ** (t - size)
+            for k in range(size, t + 1):
+                f[k] += sign * math.comb(t - size, k - size)
+    fv = f_vector(up_closure(a))
+    assert fv.counts == tuple(f)
+    assert fv.total() == total == up_closure(a).size()

@@ -208,6 +208,14 @@ def test_identities_requires_t_with_random(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_identities_random_rejects_n_below_one(capsys, n):
+    code, out, err = run(capsys, "identities", "--random", "--t", "4", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --n must be at least 1, got {n}\n"
+
+
 def test_enumerate_summary_and_outfile(capsys, tmp_path):
     out_path = tmp_path / "all.fam"
     code, out, _ = run(capsys, "enumerate", "--t", "4", "--verify", "--out", str(out_path))

@@ -6,6 +6,7 @@ from clutters import (
     Clutter,
     Complex,
     EmptyVertexSet,
+    InconsistentResult,
     NotStarSelfDual,
     SetFamily,
     alexander_dual,
@@ -18,6 +19,8 @@ from clutters import (
     star,
     up_closure,
 )
+from clutters import complexes
+from clutters.complexes import AlexanderDual
 from clutters.sets import full_mask, mask_of
 
 from conftest import COMPLEX_T4, SIMPLEX_T4, TRIANGLE, clutter, family
@@ -218,3 +221,12 @@ def test_complex_side_bijection_with_clutters(enum4):
         # recovers its generating clutter
         assert star(rest) == rest
         assert min_elements(up) == cl
+
+
+def test_face_count_implication_raises_package_error(monkeypatch):
+    # a dual that claims D = dual(D) for a complex with 8 != 2^(3-1) faces
+    # must raise InconsistentResult, also under python -O
+    c = complex_of(4, SIMPLEX_T4)
+    monkeypatch.setattr(complexes, "alexander_dual", lambda cx: AlexanderDual(cx.family, False))
+    with pytest.raises(InconsistentResult, match="face count"):
+        is_alexander_self_dual(c)

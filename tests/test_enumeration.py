@@ -5,6 +5,8 @@ import pytest
 from clutters import (
     Clutter,
     GroundSetTooLarge,
+    NotSelfDual,
+    NotStarSelfDual,
     blocker_berge,
     blocker_dense,
     complement_complex,
@@ -16,6 +18,7 @@ from clutters import (
     up_closure,
     verify_universe,
 )
+from clutters import enumeration
 from clutters.sets import SetFamily
 
 from conftest import COMPLEX_T4, SIMPLEX_T4, TRIANGLE, clutter, family
@@ -150,3 +153,17 @@ def test_verify_universe_t4(enum4):
 def test_criterion_agrees_on_enumerated(enum5):
     for cl in enum5.items:
         assert is_self_dual(cl) and self_dual_criterion(cl)
+
+
+def test_certification_failure_raises_package_error(monkeypatch):
+    # a blocker that disagrees with the search must stop the enumeration
+    # with NotSelfDual, also under python -O
+    monkeypatch.setattr(enumeration, "blocker", lambda cl: Clutter(cl.t, ()))
+    with pytest.raises(NotSelfDual, match="certification"):
+        enumerate_self_dual(3)
+
+
+def test_star_check_failure_raises_package_error(monkeypatch):
+    monkeypatch.setattr(enumeration, "is_star_self_dual", lambda cx: False)
+    with pytest.raises(NotStarSelfDual, match="star check"):
+        enumerate_star_selfdual_complexes(3)

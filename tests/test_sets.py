@@ -23,28 +23,11 @@ from clutters import (
 from clutters.sets import elements_of, full_mask, mask_of
 
 from conftest import CONE5, CONE5_UPSET, SINGLETON2, TRIANGLE, clutter, family
+from oracles import blocker_brute as oracle_blocker
+from oracles import star as oracle_star
 
 
 # --- independent oracles -------------------------------------------------
-
-def oracle_star(members, t):
-    """Star by definition: complements of the non-members."""
-    full = (1 << t) - 1
-    memb = set(members)
-    return tuple(sorted(full ^ g for g in range(1 << t) if g not in memb))
-
-
-def oracle_blocker(members, t):
-    """Blocking sets by full scan; minimality by scanning all proper subsets."""
-    blocking = [b for b in range(1 << t) if all(b & a for a in members)]
-    bset = set(blocking)
-    minimal = []
-    for b in blocking:
-        proper = [s for s in range(1 << t) if s & ~b == 0 and s != b]
-        if not any(s in bset for s in proper):
-            minimal.append(b)
-    return tuple(sorted(minimal))
-
 
 def all_antichains(t):
     """Every antichain of 2^[t] (including the empty one and {0})."""
