@@ -310,13 +310,16 @@ def cmd_identities(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        res = enumeration.enumerate_self_dual(args.t, workers=args.workers)
+        res = enumeration.enumerate_self_dual(args.t)
     except GroundSetTooLarge as exc:
         raise InputError(str(exc)) from exc
     if args.out and not args.count_only:
         doc = familyio.format_families([sets.SetFamily(c.t, c.members) for c in res.items])
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     summary = f"t={res.t} count={res.count}"
     if args.verify:
         report = enumeration.verify_universe(args.t, result=res)
@@ -396,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=1)
 
     return parser
 

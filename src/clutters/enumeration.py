@@ -1,22 +1,31 @@
 """Exhaustive enumeration of self-dual clutters on small ground sets.
 
-The search walks antichains depth-first, adding candidate generators in
-ascending (size, mask) order and tracking the generated up-family as a
-bitmap over all 2^t subsets. Branches are cut when the up-family exceeds
-2^(t-1) members (self-dual clutters generate exactly that many) or when
-the remaining candidates cannot reach that count. Cardinality alone does
-not certify self-duality (see self_dual_criterion), so every hit is
-filtered by the one-member-per-complementary-pair test star(F) = F on
-its up-family bitmap and then certified with an actual blocker computation.
+A clutter A is self-dual (A = B(A)) iff its up-family F = A^v satisfies
+F* = F, i.e. F holds exactly one set of each complementary pair. Split F
+into the members without element t (F0, an up-family on E_(t-1)) and the
+members with it. F* = F forces the second part to be {S+{t} : S in
+star(F0)}, and F0 must hold no complementary pair of E_(t-1): otherwise
+S and E_(t-1) - S in F0 would put both S and E_t - S in F. Conversely
+every pair-free up-family F0 lies inside star(F0), so F0 plus the lifted
+star(F0) is up-closed and self-dual. The self-dual clutters on E_t are
+therefore the minimal members of exactly these families, one per
+pair-free up-family F0 on E_(t-1).
 
-Each self-dual clutter is emitted exactly once: an antichain is reached
-only by choosing its members in candidate order, and distinct antichains
-generate distinct up-families.
+The search walks antichains on E_(t-1) depth-first, adding candidate
+generators in ascending (size, mask) order and tracking the up-family as
+a bitmap over 2^(t-1) subsets. Adding c keeps the family pair-free iff
+the new bitmap lacks E_(t-1) - c, a one-bit test. It is sound because
+every new member contains c: a new pair (X, E_(t-1) - X) with X
+containing c puts E_(t-1) - c, a subset of E_(t-1) - X, in the
+up-family. A rejected node has no pair-free descendants, since
+generators only add members, so every visited node is a hit. Each
+antichain is reached only by choosing its members in candidate order, so
+each clutter is emitted once. Every hit is still certified with an
+actual blocker computation.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 from .complexes import Complex, is_star_self_dual
@@ -31,6 +40,7 @@ from .sets import (
     check_ground_set,
     complement_bitmap,
     is_self_dual,
+    minimal_bitmap,
     self_dual_criterion,
     star_bitmap,
     up_bitmap,
@@ -47,79 +57,43 @@ class EnumerationResult:
     items: tuple
 
 
-def _candidates(t: int) -> list[int]:
-    return sorted(range(1, 1 << t), key=lambda m: (m.bit_count(), m))
+def enumerate_self_dual(t: int) -> EnumerationResult:
+    """All self-dual clutters on E_t, each exactly once, ascending by members.
 
-
-def _tables(t: int):
-    """Per-candidate superset bitmaps and suffix unions."""
-    cands = _candidates(t)
-    up = {c: up_bitmap(1 << c, t) for c in cands}
-    suffix = [0] * (len(cands) + 1)
-    for j in range(len(cands) - 1, -1, -1):
-        suffix[j] = suffix[j + 1] | up[cands[j]]
-    return cands, up, suffix
-
-
-def _subtree(args: tuple[int, int]) -> list[tuple[int, ...]]:
-    """All accepted antichains whose first generator is candidate j0."""
-    t, j0 = args
-    cands, up, suffix = _tables(t)
-    half = 1 << (t - 1)
-    n = len(cands)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, chosen: tuple[int, ...], bm: int) -> None:
-        for j in range(i, n):
-            c = cands[j]
-            if bm >> c & 1:
-                continue  # c contains an already chosen generator
-            nb = bm | up[c]
-            ns = nb.bit_count()
-            if ns > half:
-                continue
-            if ns == half:
-                if star_bitmap(nb, t) == nb:
-                    out.append(chosen + (c,))
-            elif (nb | suffix[j + 1]).bit_count() >= half:
-                rec(j + 1, chosen + (c,), nb)
-
-    c0 = cands[j0]
-    bm0 = up[c0]
-    if bm0.bit_count() == half:
-        if star_bitmap(bm0, t) == bm0:
-            out.append((c0,))
-    elif (bm0 | suffix[j0 + 1]).bit_count() >= half:
-        rec(j0 + 1, (c0,), bm0)
-    return out
-
-
-def enumerate_self_dual(t: int, workers: int = 1) -> EnumerationResult:
-    """All self-dual clutters on E_t, each exactly once, search order.
-
-    Supported for 1 <= t <= 6 (counts 1, 2, 4, 12, 81, 2646); the t = 7
-    universe is astronomically larger and out of scope. With workers > 1
-    the search forest is split at depth one (choice of first generator)
-    and the per-subtree results are concatenated in candidate order, so
-    output is identical for any worker count.
+    Supported for 1 <= t <= 6 (counts 1, 2, 4, 12, 81, 2646; OEIS
+    A001206). At t = 7 there are 1,422,564, more than this function
+    holds as objects. Each clutter comes from one up-family F0 on E_(t-1) without
+    a complementary pair, as the minimal members of F0 plus
+    {S+{t} : S in star(F0)}; the empty F0 gives {{t}}.
     """
     check_ground_set(t)
     if t > MAX_ENUM_T:
         raise GroundSetTooLarge(f"full enumeration supported for t <= {MAX_ENUM_T}")
-    n = len(_candidates(t))
-    jobs = [(t, j0) for j0 in range(n)]
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_subtree, jobs)
-    else:
-        chunks = [_subtree(job) for job in jobs]
+    s = t - 1
+    full = (1 << s) - 1
+    cands = sorted(range(1, 1 << s), key=lambda m: (m.bit_count(), m))
+    ups = [up_bitmap(1 << c, s) for c in cands]
+    upsets: list[int] = []
+
+    def rec(start: int, bm: int) -> None:
+        upsets.append(bm)
+        for j in range(start, len(cands)):
+            c = cands[j]
+            if bm >> c & 1:
+                continue  # c contains an already chosen generator
+            nb = bm | ups[j]
+            if not nb >> (full ^ c) & 1:
+                rec(j + 1, nb)
+
+    rec(0, 0)
     clutters = []
-    for chunk in chunks:
-        for masks in chunk:
-            cl = Clutter(t, masks)
-            if blocker(cl) != cl:
-                raise NotSelfDual(f"search hit {cl!r} failed blocker certification")
-            clutters.append(cl)
+    for bm in upsets:
+        up = bm | star_bitmap(bm, s) << (1 << s)
+        cl = Clutter.from_bitmap(t, minimal_bitmap(up, t))
+        if blocker(cl) != cl:
+            raise NotSelfDual(f"search hit {cl!r} failed blocker certification")
+        clutters.append(cl)
+    clutters.sort(key=lambda cl: cl.members)
     return EnumerationResult(t, len(clutters), tuple(clutters))
 
 
@@ -128,10 +102,10 @@ def complement_complex(u: SetFamily | UpFamily) -> Complex:
     return Complex(SetFamily.from_bitmap(u.t, complement_bitmap(u.bitmap, u.t)))
 
 
-def enumerate_star_selfdual_complexes(t: int, workers: int = 1) -> EnumerationResult:
+def enumerate_star_selfdual_complexes(t: int) -> EnumerationResult:
     """Images of the self-dual clutters under A -> 2^[t] - A^v; every
     output is independently re-verified to satisfy star(D) = D."""
-    res = enumerate_self_dual(t, workers=workers)
+    res = enumerate_self_dual(t)
     complexes = []
     for cl in res.items:
         cx = complement_complex(up_closure(cl))
@@ -141,9 +115,7 @@ def enumerate_star_selfdual_complexes(t: int, workers: int = 1) -> EnumerationRe
     return EnumerationResult(t, len(complexes), tuple(complexes))
 
 
-def verify_universe(
-    t: int, workers: int = 1, result: EnumerationResult | None = None
-) -> dict:
+def verify_universe(t: int, result: EnumerationResult | None = None) -> dict:
     """Run the full verification harness over every enumerated object.
 
     Even t: theorem3 bounds on each up-family, lemma2 bounds on each
@@ -152,7 +124,7 @@ def verify_universe(
     the appendix identities. Failures are report content, not errors.
     A precomputed enumeration may be passed to avoid repeating the search.
     """
-    res = result if result is not None else enumerate_self_dual(t, workers=workers)
+    res = result if result is not None else enumerate_self_dual(t)
     report: dict = {"t": t, "count": res.count}
     failures = 0
     if t % 2 == 0:

@@ -115,7 +115,11 @@ def parse_family(text: str) -> ParsedFamily:
     """Parse a document that must contain exactly one family."""
     families = parse_families(text)
     if len(families) != 1:
-        raise ParseError(0, f"expected one family, found {len(families)}")
+        # more than one family means at least one `---` separator
+        line_no = next(
+            n for n, raw in enumerate(text.splitlines(), start=1) if raw.strip() == "---"
+        )
+        raise ParseError(line_no, f"expected one family, found {len(families)}")
     return families[0]
 
 

@@ -1,9 +1,10 @@
-"""Naive tuple-loop oracles for the dense bitmap kernel.
+"""Naive oracles for the dense bitmap kernel and the self-dual search.
 
 These are the loops over all 2^t subsets that the package used before
-its dense operations moved to 2^t-bit bitmaps. They work on plain mask
-tuples, share no code with `clutters.sets`' kernel, and are meant for
-small t only.
+its dense operations moved to 2^t-bit bitmaps, and the direct antichain
+search on E_t that the enumeration used before it went through E_(t-1).
+They work on plain mask tuples and ints, share no code with
+`clutters.sets`' kernel, and are meant for small t only.
 """
 
 
@@ -106,3 +107,44 @@ def alexander_dual(faces, v):
     """{V - F : F subset of V, F not a face}, by a scan of 2^V."""
     memb = set(faces)
     return tuple(sorted(v ^ s for s in iter_subsets(v) if s not in memb))
+
+
+def pruned_self_dual_search(t):
+    """Antichains A on E_t whose up-family F has 2^(t-1) members and F* = F.
+
+    Depth-first over antichains with generators in ascending (size, mask)
+    order. A branch is cut when F exceeds 2^(t-1) members or when F plus
+    the up-sets of all remaining candidates stays below 2^(t-1). Returns
+    each hit's members as an ascending mask tuple, in search order.
+    """
+    n = 1 << t
+    half = n >> 1
+    cands = sorted(range(1, n), key=lambda m: (m.bit_count(), m))
+    up = [sum(1 << s for s in iter_supersets(c, t)) for c in cands]
+    suffix = [0] * (len(cands) + 1)
+    for j in range(len(cands) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] | up[j]
+    everything = (1 << n) - 1
+    out = []
+
+    def is_star_fixed(bm):
+        # bit E_t - G of F* is set iff bit G of F is clear: reverse ~F
+        return bm == int(format(everything ^ bm, f"0{n}b")[::-1], 2)
+
+    def rec(i, chosen, bm):
+        for j in range(i, len(cands)):
+            c = cands[j]
+            if bm >> c & 1:
+                continue
+            nb = bm | up[j]
+            size = nb.bit_count()
+            if size > half:
+                continue
+            if size == half:
+                if is_star_fixed(nb):
+                    out.append(tuple(sorted(chosen + (c,))))
+            elif (nb | suffix[j + 1]).bit_count() >= half:
+                rec(j + 1, chosen + (c,), nb)
+
+    rec(0, (), 0)
+    return out

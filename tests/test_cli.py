@@ -225,6 +225,17 @@ def test_enumerate_summary_and_outfile(capsys, tmp_path):
 
     docs = parse_families(out_path.read_text())
     assert len(docs) == 12
+    members = [d.masks for d in docs]
+    assert all(a < b for a, b in zip(members, members[1:]))
+
+
+def test_enumerate_unwritable_out(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.fam"
+    code, out, err = run(capsys, "enumerate", "--t", "3", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_enumerate_count_only(capsys):

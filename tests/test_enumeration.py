@@ -21,6 +21,8 @@ from clutters import (
 from clutters import enumeration
 from clutters.sets import SetFamily
 
+from oracles import pruned_self_dual_search
+
 from conftest import COMPLEX_T4, SIMPLEX_T4, TRIANGLE, clutter, family
 
 
@@ -105,8 +107,23 @@ def test_closed_under_relabeling(enum5):
             assert {relabel(cl, perm) for cl in universe} == universe
 
 
-def test_workers_do_not_change_output(enum4):
-    assert enumerate_self_dual(4, workers=2).items == enum4.items
+@pytest.fixture(scope="module")
+def universes(enum4, enum5, enum6):
+    """enumerate_self_dual(t) for t = 1..6."""
+    return [enumerate_self_dual(t) for t in (1, 2, 3)] + [enum4, enum5, enum6]
+
+
+def test_items_strictly_ascending_by_members(universes):
+    for res in universes:
+        members = [cl.members for cl in res.items]
+        assert all(a < b for a, b in zip(members, members[1:]))
+
+
+def test_matches_pruned_direct_search(universes):
+    for res in universes:
+        oracle = pruned_self_dual_search(res.t)
+        assert len(oracle) == len(set(oracle)) == res.count
+        assert {cl.members for cl in res.items} == set(oracle)
 
 
 def test_rejects_large_t():

@@ -73,6 +73,13 @@ def test_parse_errors_carry_line_numbers():
         assert fragment in str(err.value)
 
 
+def test_parse_family_reports_first_separator():
+    with pytest.raises(ParseError) as err:
+        parse_family("# two\nt: 2\n{1}\n\n  ---\nt: 3\n{2,3}\n---\nt: 1\n")
+    assert err.value.line_no == 5
+    assert str(err.value) == "line 5: expected one family, found 3"
+
+
 def test_format_is_canonical_and_roundtrips():
     f = SetFamily.from_sets(3, [[2, 3], [1, 2], []])
     text = format_family(f)
