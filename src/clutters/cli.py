@@ -1,28 +1,31 @@
 """Command-line interface.
 
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 input error (unparseable file, malformed family, bad flags). All data
-output is deterministic for fixed inputs and flags.
+Exit codes are decided in `main` alone, from the exception a command
+raises (the package raises `ValueError` only for input it rejects; see
+`errors`):
+
+  0  success, every check passed;
+  1  `verification failed: ...`: a check failed, or the input is not
+     self-dual (`NotSelfDual`) or not star-self-dual (`NotStarSelfDual`);
+  2  `error: ...`: any other `ValueError`, i.e. rejected input: an
+     unparseable or non-UTF-8 file, a malformed family, a bad flag value,
+     an unreadable file or an unwritable `--out`. argparse also exits 2
+     on unknown or missing flags.
+
+The message is one stderr line, prefixed with the input file's path when
+the command reads one. Any other exception is a defect and keeps its
+traceback. All data output is deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import complexes, enumeration, familyio, identities, kks, sets, vectors
-from .errors import (
-    GroundSetTooLarge,
-    NotSelfDual,
-    NotStarSelfDual,
-    OddGroundSet,
-    TrivialClutter,
-)
-
-
-class InputError(Exception):
-    pass
+from .errors import NotSelfDual, NotStarSelfDual
 
 
 class VerificationFailure(Exception):
@@ -33,39 +36,28 @@ def _load(path: str) -> familyio.ParsedFamily:
     try:
         return familyio.load_family(path)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except familyio.ParseError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"cannot read: {exc}") from exc
 
 
 def _family(path: str) -> sets.SetFamily:
     parsed = _load(path)
     if parsed.down_closure:
-        try:
-            return complexes.down_closure(parsed.family()).family
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+        return complexes.down_closure(parsed.family()).family
     return parsed.family()
 
 
 def _clutter(path: str) -> sets.Clutter:
     parsed = _load(path)
     if parsed.down_closure:
-        raise InputError(f"{path}: `closure: down` files hold complexes, not clutters")
-    try:
-        return sets.Clutter(parsed.t, parsed.masks)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError("`closure: down` files hold complexes, not clutters")
+    return sets.Clutter(parsed.t, parsed.masks)
 
 
 def _complex(path: str) -> complexes.Complex:
     parsed = _load(path)
-    try:
-        if parsed.down_closure:
-            return complexes.down_closure(parsed.family())
-        return complexes.Complex(parsed.family())
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    if parsed.down_closure:
+        return complexes.down_closure(parsed.family())
+    return complexes.Complex(parsed.family())
 
 
 def _emit_json(obj) -> None:
@@ -81,7 +73,7 @@ def _vec(values) -> str:
 
 
 def cmd_blocker(args) -> int:
-    b = sets.blocker(_clutter(args.file), method=args.method)
+    b = sets.blocker(_clutter(args.file))
     if args.json:
         _emit_json(_family_json(b))
     else:
@@ -146,11 +138,8 @@ def cmd_hvector(args) -> int:
 
 def cmd_check(args) -> int:
     cl = _clutter(args.file)
-    try:
-        self_dual = sets.is_self_dual(cl)
-        criterion = sets.self_dual_criterion(cl)
-    except TrivialClutter as exc:
-        raise InputError(f"{args.file}: {exc}") from exc
+    self_dual = sets.is_self_dual(cl)
+    criterion = sets.self_dual_criterion(cl)
     count = sets.up_closure(cl).size()
     report = vectors.family_report(cl)
     report["self_dual"] = self_dual
@@ -175,10 +164,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        table = kks.theorem3_table(args.t)
-    except (OddGroundSet, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    table = kks.theorem3_table(args.t)
     if args.json:
         _emit_json(
             {
@@ -203,56 +189,36 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _print_verify_report(report: dict, label: str) -> None:
-    print(f"{label}: true")
-    print(f"f: {_vec(report['f'])}")
-    print(f"{'k':>3} {'kind':>6} {'bound':>8} {'value':>8} {'slack':>8}  ok")
-    for row in report["rows"]:
-        print(
-            f"{row['k']:>3} {row['kind']:>6} {row['bound']:>8} {row['value']:>8}"
-            f" {row['slack']:>8}  {'yes' if row['ok'] else 'NO'}"
-        )
-    for pair in report["pair_sums"]:
-        verdict = "yes" if pair["ok"] else "NO"
-        print(
-            f"pair offset {pair['offset']}: {pair['actual']} expected"
-            f" {pair['expected']}  {verdict}"
-        )
-    print("result: " + ("PASS" if report["pass"] else "FAIL"))
+def _emit_verify_report(args, report: dict, label: str) -> int:
+    if args.json:
+        _emit_json(report)
+    else:
+        print(f"{label}: true")
+        print(f"f: {_vec(report['f'])}")
+        print(f"{'k':>3} {'kind':>6} {'bound':>8} {'value':>8} {'slack':>8}  ok")
+        for row in report["rows"]:
+            print(
+                f"{row['k']:>3} {row['kind']:>6} {row['bound']:>8} {row['value']:>8}"
+                f" {row['slack']:>8}  {'yes' if row['ok'] else 'NO'}"
+            )
+        for pair in report["pair_sums"]:
+            verdict = "yes" if pair["ok"] else "NO"
+            print(
+                f"pair offset {pair['offset']}: {pair['actual']} expected"
+                f" {pair['expected']}  {verdict}"
+            )
+        print("result: " + ("PASS" if report["pass"] else "FAIL"))
+    if not report["pass"]:
+        raise VerificationFailure("bound violated")
+    return 0
 
 
 def cmd_verify_theorem3(args) -> int:
-    cl = _clutter(args.file)
-    try:
-        report = kks.verify_theorem3(cl)
-    except (OddGroundSet, TrivialClutter) as exc:
-        raise InputError(f"{args.file}: {exc}") from exc
-    except NotSelfDual as exc:
-        raise VerificationFailure(f"{args.file}: {exc}") from exc
-    if args.json:
-        _emit_json(report)
-    else:
-        _print_verify_report(report, "self_dual")
-    if not report["pass"]:
-        raise VerificationFailure("bound violated")
-    return 0
+    return _emit_verify_report(args, kks.verify_theorem3(_clutter(args.file)), "self_dual")
 
 
 def cmd_verify_lemma2(args) -> int:
-    cx = _complex(args.file)
-    try:
-        report = kks.verify_lemma2(cx)
-    except OddGroundSet as exc:
-        raise InputError(f"{args.file}: {exc}") from exc
-    except NotStarSelfDual as exc:
-        raise VerificationFailure(f"{args.file}: {exc}") from exc
-    if args.json:
-        _emit_json(report)
-    else:
-        _print_verify_report(report, "star_self_dual")
-    if not report["pass"]:
-        raise VerificationFailure("bound violated")
-    return 0
+    return _emit_verify_report(args, kks.verify_lemma2(_complex(args.file)), "star_self_dual")
 
 
 def _aggregate_checks(reports: list[dict]) -> dict[str, str]:
@@ -273,9 +239,9 @@ def _aggregate_checks(reports: list[dict]) -> dict[str, str]:
 def cmd_identities(args) -> int:
     if args.random:
         if args.t is None:
-            raise InputError("--random requires --t")
+            raise ValueError("--random requires --t")
         if args.n < 1:
-            raise InputError(f"--n must be at least 1, got {args.n}")
+            raise ValueError(f"--n must be at least 1, got {args.n}")
         reports = []
         for i in range(args.n):
             fam = identities.random_star_selfdual(args.t, args.seed + i)
@@ -286,12 +252,8 @@ def cmd_identities(args) -> int:
         header = f"t: {args.t}  n: {args.n}  seed: {args.seed}"
     else:
         if not args.file:
-            raise InputError("need a family file or --random")
-        fam = _family(args.file)
-        try:
-            report = identities.check_appendix(fam)
-        except NotStarSelfDual as exc:
-            raise VerificationFailure(f"{args.file}: {exc}") from exc
+            raise ValueError("need a family file or --random")
+        report = identities.check_appendix(_family(args.file))
         checks = report["checks"]
         ok = report["pass"]
         payload = {"t": report["t"], "checks": checks}
@@ -309,29 +271,26 @@ def cmd_identities(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        res = enumeration.enumerate_self_dual(args.t)
-    except GroundSetTooLarge as exc:
-        raise InputError(str(exc)) from exc
-    if args.out and not args.count_only:
+    res = enumeration.enumerate_self_dual(args.t)
+    if args.out:
         doc = familyio.format_families([sets.SetFamily(c.t, c.members) for c in res.items])
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(doc)
         except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from exc
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
     summary = f"t={res.t} count={res.count}"
+    ok = True
     if args.verify:
-        report = enumeration.verify_universe(args.t, result=res)
-        summary += f" verified={'pass' if report['pass'] else 'fail'}"
-        print(summary)
-        if not report["pass"]:
-            raise VerificationFailure("universe verification failed")
-    else:
-        print(summary)
+        ok = enumeration.verify_universe(args.t, result=res)["pass"]
+        summary += f" verified={'pass' if ok else 'fail'}"
+    print(summary)
+    if not ok:
+        raise VerificationFailure("universe verification failed")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clutters",
@@ -346,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("blocker", cmd_blocker, help="blocker of a clutter file")
     p.add_argument("file")
-    p.add_argument("--method", choices=("auto", "dense", "berge"), default="auto")
     p.add_argument("--json", action="store_true")
 
     p = add("star", cmd_star, help="star of a family file")
@@ -396,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", cmd_enumerate, help="all self-dual clutters on E_t")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out")
 
@@ -404,18 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    where = f"{args.file}: " if getattr(args, "file", None) else ""
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
+    except (VerificationFailure, NotSelfDual, NotStarSelfDual) as exc:
+        print(f"verification failed: {where}{exc}", file=sys.stderr)
         return 1
-    except GroundSetTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 2
 
 

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Convention: the package raises `ValueError` (or a subclass) only for
+input it rejects, and `RuntimeError` (`InconsistentResult`) for a defect.
+The CLI relies on it: `NotSelfDual` and `NotStarSelfDual` exit 1, any
+other `ValueError` exits 2, everything else keeps its traceback.
+"""
 
 
 class GroundSetTooLarge(ValueError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sets import SetFamily, elements_of, mask_of
+from .sets import MAX_T, SetFamily, elements_of, mask_of
 
 
 class ParseError(ValueError):
@@ -93,8 +93,11 @@ def parse_families(text: str) -> list[ParsedFamily]:
                 t = int(line[2:].strip())
             except ValueError:
                 raise ParseError(line_no, f"bad ground set size {line[2:].strip()!r}") from None
-            if t < 1:
-                raise ParseError(line_no, f"ground set size must be positive, got {t}")
+            # reject before any element becomes a 2^(e-1) mask
+            if not 1 <= t <= MAX_T:
+                raise ParseError(
+                    line_no, f"ground set size must be positive and at most {MAX_T}, got {t}"
+                )
             continue
         if line.lower().startswith("closure:"):
             value = line.split(":", 1)[1].strip().lower()

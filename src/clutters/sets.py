@@ -444,28 +444,24 @@ def blocker_berge(a: Clutter) -> Clutter:
     return Clutter(a.t, tuple(trans))
 
 
-def blocker(a: Clutter, method: str = "auto") -> Clutter:
+def blocker(a: Clutter) -> Clutter:
     """The blocker B(a): all inclusion-minimal blocking sets of a.
 
     Conventions for trivial inputs: blocker of the empty clutter is {0}
     (the empty set blocks vacuously) and blocker of {0} is the empty
     clutter (nothing meets the empty set). Both backends agree on these.
 
-    method="auto" takes the bitmap kernel for t <= 28 unless a has at most
-    t - 12 members, and Berge otherwise. The bitmap kernel costs about
+    Takes the bitmap kernel (`blocker_dense`) for t <= 28 unless a has at
+    most t - 12 members, and Berge (`blocker_berge`) otherwise; call either
+    directly to pick the backend. The bitmap kernel costs about
     2^t / 2^20 * 5 ms whatever the input; Berge grows with the members and
     the blocker. On random clutters with members of 3-7 elements, Berge
     was the faster one up to about 8 members at t = 20, 12 at t = 24 and
     16 at t = 28 (0.4 ms against 1.4 s for 4 members at t = 28).
     """
-    if method == "auto":
-        few = len(a) <= a.t - 12
-        method = "dense" if a.t <= DENSE_MAX_T and not few else "berge"
-    if method == "dense":
+    if a.t <= DENSE_MAX_T and len(a) > a.t - 12:
         return blocker_dense(a)
-    if method == "berge":
-        return blocker_berge(a)
-    raise ValueError(f"unknown blocker method {method!r}")
+    return blocker_berge(a)
 
 
 def is_self_dual(a: Clutter) -> bool:

@@ -1,6 +1,7 @@
 """Shared fixtures: the worked example families and cached enumerations."""
 
 import pytest
+from hypothesis import strategies as st
 
 from clutters import Clutter, SetFamily, enumerate_self_dual
 
@@ -23,6 +24,14 @@ CONE5_UPSET = (
 COMPLEX_T4 = ((), (1,), (2,), (3,), (4,), (1, 2), (1, 3), (2, 3))
 # the simplex on {2,3,4} inside E_4
 SIMPLEX_T4 = ((), (2,), (3,), (4,), (2, 3), (2, 4), (3, 4), (2, 3, 4))
+
+
+@st.composite
+def families(draw, max_t=8):
+    """Hypothesis strategy: (t, members) of a random family on E_t."""
+    t = draw(st.integers(1, max_t))
+    members = draw(st.sets(st.integers(0, (1 << t) - 1), max_size=min(1 << t, 48)))
+    return t, tuple(sorted(members))
 
 
 def clutter(t, sets):

@@ -43,14 +43,9 @@ from clutters.sets import (
     up_bitmap,
 )
 
+from conftest import families
+
 SETTINGS = settings(max_examples=150, deadline=None)
-
-
-@st.composite
-def families(draw, max_t=8):
-    t = draw(st.integers(1, max_t))
-    members = draw(st.sets(st.integers(0, (1 << t) - 1), max_size=min(1 << t, 48)))
-    return t, tuple(sorted(members))
 
 
 @st.composite
@@ -150,8 +145,8 @@ def test_blocker_backends_agree_with_brute_force(cl):
 @SETTINGS
 @given(clutters(nontrivial=True))
 def test_blocker_is_an_involution(cl):
-    for method in ("dense", "berge"):
-        assert blocker(blocker(cl, method=method), method=method) == cl
+    for backend in (blocker_dense, blocker_berge):
+        assert backend(backend(cl)) == cl
 
 
 @SETTINGS

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from clutters import Clutter, enumeration, sets
 from clutters.cli import main
 
 TRIANGLE_T3 = "t: 3\n{1,2}\n{1,3}\n{2,3}\n"
@@ -32,14 +37,6 @@ def test_blocker_prints_family_text(capsys, write):
     code, out, _ = run(capsys, "blocker", write("tri.fam", TRIANGLE_T3))
     assert code == 0
     assert out == TRIANGLE_T3
-
-
-def test_blocker_methods_flag(capsys, write):
-    path = write("e.fam", "t: 4\n{1,2}\n")
-    for method in ("dense", "berge"):
-        code, out, _ = run(capsys, "blocker", path, "--method", method)
-        assert code == 0
-        assert out == "t: 4\n{1}\n{2}\n"
 
 
 def test_blocker_rejects_non_antichain(capsys, write):
@@ -238,10 +235,27 @@ def test_enumerate_unwritable_out(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
-def test_enumerate_count_only(capsys):
-    code, out, _ = run(capsys, "enumerate", "--t", "3", "--count-only")
+def test_enumerate_without_flags(capsys):
+    code, out, err = run(capsys, "enumerate", "--t", "3")
     assert code == 0
     assert out == "t=3 count=4\n"
+    assert err == ""
+
+
+def test_enumerate_t2_verify(capsys):
+    code, out, err = run(capsys, "enumerate", "--t", "2", "--verify")
+    assert code == 0
+    assert out == "t=2 count=2 verified=pass\n"
+    assert err == ""
+
+
+def test_enumerate_failed_certificate_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(enumeration, "blocker", lambda cl: Clutter(cl.t, ()))
+    code, out, err = run(capsys, "enumerate", "--t", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failed: ")
+    assert err.count("\n") == 1
 
 
 def test_enumerate_rejects_t7(capsys):
@@ -258,6 +272,50 @@ def test_parse_error_exit_code(capsys, write):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "blocker", "/nonexistent/x.fam")
     assert code == 2
+    assert err.startswith("error: /nonexistent/x.fam: cannot read: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify-theorem3", "verify-lemma2"])
+def test_verify_commands_reject_t2(capsys, write, command):
+    # the bound tables are defined for even 4 <= t <= 28 only
+    text = "t: 2\n{1}\n" if command == "verify-theorem3" else "t: 2\n{}\n{2}\n"
+    path = write("t2.fam", text)
+    code, out, err = run(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: bound tables defined for even 4 <= t <= 28, got 2\n"
+
+
+def test_non_utf8_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.fam"
+    path.write_bytes(b"t: 3\n{1,\xff}\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+def test_huge_t_exits_2_at_the_header(capsys, write):
+    path = write("big.fam", "t: 100000000\n" + "{100000000}\n" * 8)
+    code, out, err = run(capsys, "fvector", path)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {path}: line 1: ground set size must be positive and at most 62,"
+        " got 100000000\n"
+    )
+
+
+def test_defects_keep_their_traceback(monkeypatch, write):
+    # only ValueError is rejected input; anything else is a bug in the package
+    def broken(cl):
+        raise RuntimeError("kernel defect")
+
+    monkeypatch.setattr(sets, "blocker", broken)
+    with pytest.raises(RuntimeError, match="kernel defect"):
+        main(["blocker", write("tri.fam", TRIANGLE_T3)])
 
 
 def test_output_is_deterministic(capsys, write):
@@ -265,3 +323,52 @@ def test_output_is_deterministic(capsys, write):
     _, first, _ = run(capsys, "verify-theorem3", path)
     _, second, _ = run(capsys, "verify-theorem3", path)
     assert first == second
+
+
+FILE_COMMANDS = (
+    ("blocker",), ("blocker", "--json"), ("star",), ("star", "--json"),
+    ("upset",), ("upset", "--list"), ("upset", "--json"),
+    ("fvector",), ("fvector", "--upset"), ("hvector",), ("hvector", "--upset"),
+    ("check",), ("check", "--json"), ("verify-theorem3",), ("verify-lemma2",),
+    ("identities",), ("identities", "--json"),
+)
+MALFORMED = (
+    "{1,2", "{a}", "{0}", "{7}", "1 x", "---", "t: 3", "t: 0", "t: x", "t: 99",
+    "closure: up", "closure: down", "# comment", "", "{,}",
+)
+
+
+@st.composite
+def family_files(draw) -> bytes:
+    t = draw(st.integers(1, 6))
+    lines = [f"t: {t}"] if draw(st.integers(0, 3)) else []
+    if draw(st.booleans()):
+        lines.append("closure: down")
+    members = st.sets(st.integers(1, t)).map(
+        lambda s: "{" + ",".join(map(str, sorted(s))) + "}"
+    )
+    # `members` twice: about two lines in three are well formed
+    lines += draw(st.lists(st.one_of(members, members, st.sampled_from(MALFORMED)),
+                           max_size=12))
+    data = "\n".join(lines).encode()
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=family_files())
+def test_fuzzed_files_never_escape_main(tmp_path, data):
+    # every input is either handled or rejected with one stderr line
+    path = tmp_path / "fuzz.fam"
+    path.write_bytes(data)
+    for command in FILE_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(path), *command[1:]])
+        assert code in (0, 1, 2), command
+        if code:
+            assert err.getvalue().count("\n") == 1, (command, err.getvalue())
+            assert err.getvalue().startswith(("error: ", "verification failed: "))

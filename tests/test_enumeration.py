@@ -159,6 +159,15 @@ def test_verify_universe_t3():
     assert report["appendix"] == {"passed": 4, "failed": 0}
 
 
+def test_verify_universe_t2_skips_the_undefined_bound_tables():
+    # the bound tables need even t >= 4; t = 2 runs the odd-t checks
+    report = verify_universe(2)
+    assert report["pass"]
+    assert report["count"] == 2
+    assert report["criterion_equivalence"] == {"passed": 2, "failed": 0}
+    assert "theorem3" not in report
+
+
 def test_verify_universe_t4(enum4):
     report = verify_universe(4, result=enum4)
     assert report["pass"]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clutters import SetFamily
 from clutters.familyio import (
@@ -9,7 +11,7 @@ from clutters.familyio import (
     parse_family,
 )
 
-from conftest import family
+from conftest import families, family
 
 DOC = """\
 # the triangle clutter
@@ -63,6 +65,9 @@ def test_parse_errors_carry_line_numbers():
         ("t: 3\n0 1\n", 2, "outside ground set"),
         ("---\nt: 3\n", 1, "separator"),
         ("t: 0\n", 1, "positive"),
+        ("t: 63\n", 1, "at most 62"),
+        # rejected at the header, before any element becomes a 2^(e-1) mask
+        ("t: 100000000\n" + "{100000000}\n" * 8, 1, "at most 62"),
         ("t: 3\nclosure: up\n", 2, "closure"),
         ("# nothing\n", 2, "no family"),
     ]
@@ -87,8 +92,10 @@ def test_format_is_canonical_and_roundtrips():
     assert parse_family(text).family() == f
 
 
-def test_format_families_roundtrip():
-    fams = [family(2, [[1]]), family(3, [[2, 3], []])]
+@settings(max_examples=100, deadline=None)
+@given(st.lists(families(), min_size=1, max_size=4))
+def test_format_families_roundtrip(tms):
+    fams = [SetFamily(*tm) for tm in tms]
     docs = parse_families(format_families(fams))
     assert [p.family() for p in docs] == fams
 
@@ -96,3 +103,10 @@ def test_format_families_roundtrip():
 def test_roundtrip_idempotence():
     text = format_family(family(6, [[1, 2, 3], [4], [5, 6]]))
     assert format_family(parse_family(text).family()) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(families())
+def test_format_parse_round_trip(tm):
+    f = SetFamily(*tm)
+    assert parse_family(format_family(f)).family() == f

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from clutters import (
     Clutter,
@@ -21,7 +22,9 @@ from clutters import (
     up_closure,
 )
 
-from conftest import COMPLEX_T4, CONE5, SIMPLEX_T4, SINGLETON2, TRIANGLE, clutter, family
+from conftest import (
+    COMPLEX_T4, CONE5, SIMPLEX_T4, SINGLETON2, TRIANGLE, clutter, families, family,
+)
 
 
 def oracle_h_by_expansion(counts, t):
@@ -142,6 +145,14 @@ def test_roundtrip_exact():
         t = rng.randint(1, 12)
         fv = f_vector(random_family(rng, t))
         assert f_from_h(h_from_f(fv)) == fv
+
+
+@settings(max_examples=150, deadline=None)
+@given(families())
+def test_roundtrip_exact_on_hypothesis_families(tm):
+    # sparse families down to t = 1 and the empty family, shrunk on failure
+    fv = f_vector(SetFamily(*tm))
+    assert f_from_h(h_from_f(fv)) == fv
 
 
 def test_h_linearity_on_disjoint_union():
