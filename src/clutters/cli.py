@@ -64,30 +64,24 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _family_json(f: sets.SetFamily) -> dict:
-    return {"t": f.t, "members": [list(s) for s in f.sets()]}
-
-
 def _vec(values) -> str:
     return " ".join(str(v) for v in values)
 
 
-def cmd_blocker(args) -> int:
-    b = sets.blocker(_clutter(args.file))
+def _emit_family(args, f: sets.SetFamily) -> int:
     if args.json:
-        _emit_json(_family_json(b))
+        familyio.write_members_json({"t": f.t}, f, sys.stdout)
     else:
-        print(familyio.format_family(b), end="")
+        print(familyio.format_family(f), end="")
     return 0
+
+
+def cmd_blocker(args) -> int:
+    return _emit_family(args, sets.blocker(_clutter(args.file)))
 
 
 def cmd_star(args) -> int:
-    s = sets.star(_family(args.file))
-    if args.json:
-        _emit_json(_family_json(s))
-    else:
-        print(familyio.format_family(s), end="")
-    return 0
+    return _emit_family(args, sets.star(_family(args.file)))
 
 
 def cmd_upset(args) -> int:
@@ -96,8 +90,9 @@ def cmd_upset(args) -> int:
     if args.json:
         out = {"t": up.t, "count": up.size(), "f": list(fv.counts)}
         if args.list:
-            out["members"] = [list(s) for s in up.family().sets()]
-        _emit_json(out)
+            familyio.write_members_json(out, up.family(), sys.stdout)
+        else:
+            _emit_json(out)
     elif args.list:
         print(familyio.format_family(up.family()), end="")
     else:
@@ -273,7 +268,7 @@ def cmd_identities(args) -> int:
 def cmd_enumerate(args) -> int:
     res = enumeration.enumerate_self_dual(args.t)
     if args.out:
-        doc = familyio.format_families([sets.SetFamily(c.t, c.members) for c in res.items])
+        doc = familyio.format_families(res.items)
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(doc)

@@ -89,7 +89,7 @@ def enumerate_self_dual(t: int) -> EnumerationResult:
     clutters = []
     for bm in upsets:
         up = bm | star_bitmap(bm, s) << (1 << s)
-        cl = Clutter.from_bitmap(t, minimal_bitmap(up, t))
+        cl = Clutter._from_minimal_bitmap(t, minimal_bitmap(up, t))
         if blocker(cl) != cl:
             raise NotSelfDual(f"search hit {cl!r} failed blocker certification")
         clutters.append(cl)

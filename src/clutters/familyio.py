@@ -13,13 +13,28 @@ set is `{}`) or bare whitespace-separated elements. Elements are 1-based
 and must not exceed t. A line of `---` separates multiple families in
 one file. Serialization is always canonical: ascending mask order, brace
 form, no comments.
+
+A family with F* = F on E_t has 2^(t-1) members, so on dense families the
+text is the bulk of a command's work. Neither direction loops over the
+elements of a member in Python. A canonical brace line is read through a
+table from token to bit, and a member is written as two lookups in string
+tables over the low t//2 and the high t - t//2 bits of its mask, built per
+call. `write_members_json` writes the `--json` form of a family, exactly
+the bytes of `json.dumps(obj, indent=2)` and a newline, in chunks of
+CHUNK members. At t = 20, `upset --list --json` on 730,739 members (80
+MiB) takes about 1.1 s at 72 MB peak RSS, against 11 s and 886 MB for
+`json.dumps` of the member lists (2-vCPU VM, CPython 3.11).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, TextIO
 
-from .sets import MAX_T, SetFamily, elements_of, mask_of
+from .sets import MAX_T, SetFamily, mask_of
+
+CHUNK = 1 << 15
 
 
 class ParseError(ValueError):
@@ -62,21 +77,34 @@ def parse_families(text: str) -> list[ParsedFamily]:
     """Parse a (possibly multi-family) document."""
     families: list[ParsedFamily] = []
     t: int | None = None
+    bit: dict[str, int] = {}  # token -> mask of one element of E_t
     down = False
     masks: list[int] = []
     started = False
 
     def flush(line_no: int) -> None:
-        nonlocal t, down, masks, started
+        nonlocal t, bit, down, masks, started
         if not started:
             return
         if t is None:
             raise ParseError(line_no, "missing `t: <int>` header")
         families.append(ParsedFamily(t, tuple(masks), down))
-        t, down, masks, started = None, False, [], False
+        t, bit, down, masks, started = None, {}, False, [], False
 
     line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        # canonical `{i,j,...}` once t is known; anything else (spaces, `{}`,
+        # `01`, duplicates, elements outside E_t) takes _parse_elements
+        if bit and raw[:1] == "{" and raw[-1] == "}":
+            tokens = raw[1:-1].split(",")
+            try:
+                mask = sum(map(bit.__getitem__, tokens))
+            except KeyError:
+                pass
+            else:
+                if mask.bit_count() == len(tokens):
+                    masks.append(mask)
+                    continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -98,6 +126,7 @@ def parse_families(text: str) -> list[ParsedFamily]:
                 raise ParseError(
                     line_no, f"ground set size must be positive and at most {MAX_T}, got {t}"
                 )
+            bit = {str(e + 1): 1 << e for e in range(t)}
             continue
         if line.lower().startswith("closure:"):
             value = line.split(":", 1)[1].strip().lower()
@@ -126,16 +155,99 @@ def parse_family(text: str) -> ParsedFamily:
     return families[0]
 
 
+class _Elements(dict):
+    """Table from the bits of one half-word to `sep` + element for each set
+    bit, ascending; elements are numbered from `offset` + 1. Entries are
+    made on first use, each from the entry without its top bit."""
+
+    def __init__(self, sep: str, offset: int):
+        super().__init__({0: ""})
+        self.sep = sep
+        self.offset = offset
+
+    def __missing__(self, key: int) -> str:
+        top = key.bit_length() - 1
+        text = self[key ^ 1 << top] + self.sep + str(self.offset + top + 1)
+        self[key] = text
+        return text
+
+
+class _Style:
+    """A member is written as `open`, its elements separated by `sep` (which
+    starts with a comma), then `close`; members are joined by `between`.
+    (A plain class: a dataclass would cost about 1 ms at import.)"""
+
+    def __init__(self, open: str, sep: str, close: str, between: str):
+        self.open, self.sep, self.close, self.between = open, sep, close, between
+
+
+_TEXT = _Style("{", ",", "}\n", "")
+# the "members" array of json.dumps(..., indent=2): [\n      1,\n      2\n    ]
+_JSON = _Style("[", ",\n      ", "\n    ]", ",\n    ")
+
+
+def _member_rows(t: int, style: _Style) -> Callable[[Iterable[int]], Iterator[str]]:
+    """Function from masks to their elements, each led by `style.sep`: the
+    low t//2 bits' elements, then the high bits', from two tables made for
+    this call (at most 2^(t//2) and 2^(t - t//2) entries)."""
+    half = t // 2
+    low = (1 << half) - 1
+    lo, hi = _Elements(style.sep, 0), _Elements(style.sep, half)
+
+    def rows(masks: Iterable[int]) -> Iterator[str]:
+        return map(
+            str.__add__,
+            map(lo.__getitem__, map(low.__and__, masks)),
+            map(hi.__getitem__, map(half.__rrshift__, masks)),
+        )
+
+    return rows
+
+
+def _member_chunks(members: tuple[int, ...], rows: Callable, style: _Style) -> Iterator[str]:
+    """The members written in `style`, CHUNK whole members per string."""
+    link = style.close + style.between + style.open
+    for start in range(0, len(members), CHUNK):
+        text = link.join(rows(members[start:start + CHUNK]))
+        text = (style.between if start else "") + style.open + text + style.close
+        # `sep` starts with the comma, which must not follow `open`
+        yield text.replace(style.open + ",", style.open)
+
+
+def _format(f: SetFamily, rows: Callable) -> str:
+    return "".join([f"t: {f.t}\n", *_member_chunks(f.members, rows, _TEXT)])
+
+
 def format_family(f: SetFamily) -> str:
     """Canonical serialization: header plus one brace-form set per line."""
-    lines = [f"t: {f.t}"]
-    for m in f.members:
-        lines.append("{" + ",".join(map(str, elements_of(m))) + "}")
-    return "\n".join(lines) + "\n"
+    return _format(f, _member_rows(f.t, _TEXT))
 
 
-def format_families(fams: list[SetFamily]) -> str:
-    return "---\n".join(format_family(f) for f in fams)
+def format_families(fams: Iterable[SetFamily]) -> str:
+    rows: dict[int, Callable] = {}  # one pair of tables per ground set size
+    docs = []
+    for f in fams:
+        if f.t not in rows:
+            rows[f.t] = _member_rows(f.t, _TEXT)
+        docs.append(_format(f, rows[f.t]))
+    return "---\n".join(docs)
+
+
+def write_members_json(obj: dict, f: SetFamily, out: TextIO) -> None:
+    """Write `json.dumps({**obj, "members": M}, indent=2)` and a newline to
+    `out`, where M lists f's members as lists of elements, ascending.
+
+    The members are written CHUNK at a time, never as one list or string.
+    `obj` must not hold the key "members", which comes last."""
+    head = json.dumps({**obj, "members": []}, indent=2)
+    if not f.members:
+        out.write(head + "\n")
+        return
+    out.write(head[: -len("]\n}")] + "\n    ")
+    for text in _member_chunks(f.members, _member_rows(f.t, _JSON), _JSON):
+        # only the empty set, the first member if present, has no elements
+        out.write(text.replace("[\n    ]", "[]"))
+    out.write("\n  ]\n}\n")
 
 
 def load_family(path: str) -> ParsedFamily:

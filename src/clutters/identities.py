@@ -21,8 +21,10 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotStarSelfDual
-from .sets import SetFamily, check_dense, full_mask, star_bitmap
+from .sets import SetFamily, check_dense, star_bitmap
 from .vectors import binom, f_vector, h_from_f
+
+_DRAW = 1 << 16  # pairs per getrandbits call: 256 KiB of RNG output
 
 
 @dataclass(frozen=True)
@@ -48,18 +50,32 @@ def random_star_selfdual(t: int, seed: int) -> StarSelfDualFamily:
     """Pick one member per complementary pair with a seeded RNG.
 
     Deterministic: pairs are visited in ascending order of their smaller
-    mask, one RNG bit each, so a given (t, seed) always yields the same
-    family, and star(result) = result by construction.
+    mask g < 2^(t-1), one `getrandbits(1)` each (g is kept on a 1, E_t - g
+    on a 0), so a given (t, seed) always yields the same family, and
+    star(result) = result by construction.
+
+    The bits are drawn as one `getrandbits(32 n)` per block of n pairs:
+    that int holds, little-endian, the same n 32-bit words that n calls
+    `getrandbits(1)` consume, and each of those calls returns its word's
+    top bit. The kept g form the low half of the bitmap; the members
+    E_t - g with element t form the high half, star(low half) on E_(t-1).
     """
     check_dense(t)
     rng = random.Random(seed)
-    full = full_mask(t)
-    members = []
-    for g in range(1 << (t - 1)):
-        # g < full ^ g exactly when g has no bit t-1; the range covers
-        # each pair's smaller mask once
-        members.append(g if rng.getrandbits(1) else full ^ g)
-    return StarSelfDualFamily(SetFamily(t, tuple(members)))
+    pairs = 1 << (t - 1)
+    blocks = []
+    for start in range(0, pairs, _DRAW):
+        n = min(_DRAW, pairs - start)
+        tops = rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
+        high = int.from_bytes(b"\x80" * len(tops), "little")
+        # choice 8k + j is the top bit of tops[8k + j]: move it to bit j of byte k
+        bits = 0
+        for j in range(8):
+            bits |= (int.from_bytes(tops[j::8], "little") & high) >> (7 - j)
+        blocks.append(bits.to_bytes(max(1, n >> 3), "little"))
+    low = int.from_bytes(b"".join(blocks), "little")
+    bm = low | star_bitmap(low, t - 1) << pairs
+    return StarSelfDualFamily(SetFamily.from_bitmap(t, bm))
 
 
 def _all(t: int, pred) -> str:

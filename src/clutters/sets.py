@@ -252,8 +252,19 @@ class SetFamily:
 
     @classmethod
     def from_bitmap(cls, t: int, bm: int) -> "SetFamily":
-        """Family of a dense bitmap, which it keeps as its `bitmap`."""
-        fam = cls(t, members_of(bm, t))
+        """Family of a dense bitmap, which it keeps as its `bitmap`.
+
+        `members_of` is ascending and duplicate-free, so it is not sorted
+        again, and only its last member is range-checked. Subclass
+        invariants are not checked: Clutter overrides this.
+        """
+        check_ground_set(t)
+        members = members_of(bm, t)
+        if members and members[-1] > full_mask(t):
+            raise ValueError(f"member mask outside 2^[{t}]")
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "t", t)
+        object.__setattr__(fam, "members", members)
         fam.__dict__["bitmap"] = bm
         return fam
 
@@ -317,6 +328,19 @@ class Clutter(SetFamily):
                         f"not an antichain: {elements_of(ms[i])} is contained"
                         f" in {elements_of(mj)}"
                     )
+
+    @classmethod
+    def from_bitmap(cls, t: int, bm: int) -> "Clutter":
+        """Clutter of a dense bitmap, checked pair by pair like any input."""
+        cl = cls(t, members_of(bm, t))
+        cl.__dict__["bitmap"] = bm
+        return cl
+
+    @classmethod
+    def _from_minimal_bitmap(cls, t: int, bm: int) -> "Clutter":
+        """Clutter of a `minimal_bitmap` output. No member of that contains
+        another, so the O(n^2) pair check is skipped."""
+        return super().from_bitmap(t, bm)
 
     @property
     def nontrivial(self) -> bool:
@@ -421,7 +445,9 @@ def up_closure(a: Clutter) -> UpFamily:
 def blocker_dense(a: Clutter) -> Clutter:
     """Blocker on bitmaps: B(a) = min((a^v)*), since B(a)^v = (a^v)*.
     Requires t <= 28."""
-    return Clutter.from_bitmap(a.t, minimal_bitmap(star_bitmap(a.upset_bitmap, a.t), a.t))
+    return Clutter._from_minimal_bitmap(
+        a.t, minimal_bitmap(star_bitmap(a.upset_bitmap, a.t), a.t)
+    )
 
 
 def blocker_berge(a: Clutter) -> Clutter:

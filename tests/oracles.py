@@ -1,11 +1,16 @@
-"""Naive oracles for the dense bitmap kernel and the self-dual search.
+"""Naive oracles for the dense bitmap kernel, the self-dual search and the
+text and JSON writers.
 
 These are the loops over all 2^t subsets that the package used before
-its dense operations moved to 2^t-bit bitmaps, and the direct antichain
-search on E_t that the enumeration used before it went through E_(t-1).
-They work on plain mask tuples and ints, share no code with
-`clutters.sets`' kernel, and are meant for small t only.
+its dense operations moved to 2^t-bit bitmaps, the direct antichain
+search on E_t that the enumeration used before it went through E_(t-1),
+and the member-at-a-time loops that wrote families before `familyio`
+wrote them from half-word tables. They work on plain mask tuples and
+ints, share no code with `clutters`, and are meant for small t only.
 """
+
+import json
+import random
 
 
 def iter_supersets(mask, t):
@@ -27,6 +32,30 @@ def iter_subsets(mask):
         if s == 0:
             return
         s = (s - 1) & mask
+
+
+def elements(mask):
+    """1-based elements of a mask, ascending."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def is_antichain(members):
+    """No member contains another, by a check of every pair."""
+    return not any(a != b and a & ~b == 0 for a in members for b in members)
+
+
+def format_family(t, members):
+    """Text form of a family: header, then one brace line per member."""
+    lines = [f"t: {t}"]
+    for m in members:
+        lines.append("{" + ",".join(map(str, elements(m))) + "}")
+    return "\n".join(lines) + "\n"
+
+
+def members_json(obj, members):
+    """`--json` output of a family: its member lists under "members",
+    after the keys of obj, by json.dumps, and print's newline."""
+    return json.dumps({**obj, "members": [elements(m) for m in members]}, indent=2) + "\n"
 
 
 def up_family(members, t):
@@ -148,3 +177,12 @@ def pruned_self_dual_search(t):
 
     rec(0, (), 0)
     return out
+
+
+def random_star_selfdual(t, seed):
+    """One getrandbits(1) per complementary pair, ascending by the smaller
+    mask g: g on a 1, E_t - g on a 0. Returns the ascending member tuple."""
+    rng = random.Random(seed)
+    full = (1 << t) - 1
+    members = [g if rng.getrandbits(1) else full ^ g for g in range(1 << (t - 1))]
+    return tuple(sorted(members))

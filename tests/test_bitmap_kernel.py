@@ -82,6 +82,25 @@ def test_encode_decode_round_trip(tf):
     assert SetFamily(t, members).bitmap == bm
 
 
+def test_from_bitmap_checks_what_it_does_not_trust():
+    with pytest.raises(ValueError, match="outside"):
+        SetFamily.from_bitmap(2, 1 << 4)
+    # a bitmap from outside the kernel need not be an antichain
+    with pytest.raises(ValueError, match="not an antichain"):
+        Clutter.from_bitmap(3, bitmap_of((1, 3), 3))
+    assert Clutter.from_bitmap(3, bitmap_of((3, 4), 3)).members == (3, 4)
+
+
+@SETTINGS
+@given(families())
+def test_minimal_members_of_an_up_set_are_an_antichain(tf):
+    t, members = tf
+    bm = minimal_bitmap(up_bitmap(bitmap_of(members, t), t), t)
+    assert oracles.is_antichain(members_of(bm, t))
+    # the unchecked constructor agrees with the checked one
+    assert Clutter._from_minimal_bitmap(t, bm) == Clutter(t, members_of(bm, t))
+
+
 def test_decode_skips_long_zero_runs():
     t = 16
     members = (0, 7, 8, 4095, 40000, (1 << t) - 1)

@@ -93,6 +93,23 @@ def test_vector_json(capsys, write):
     assert json.loads(out) == {"t": 4, "f": [1, 4, 3, 0, 0]}
 
 
+def test_member_json_is_json_dumps_indent_2(capsys, write):
+    cases = [
+        (("star", write("f.fam", "t: 3\n{2}\n{1,3}\n"), "--json"),
+         {"t": 3, "members": [[], [1], [1, 2], [3], [2, 3], [1, 2, 3]]}),
+        (("blocker", write("tri.fam", TRIANGLE_T3), "--json"),
+         {"t": 3, "members": [[1, 2], [1, 3], [2, 3]]}),
+        (("blocker", write("e.fam", "t: 2\n{}\n"), "--json"), {"t": 2, "members": []}),
+        (("upset", write("s.fam", SINGLETON_T4), "--list", "--json"),
+         {"t": 4, "count": 8, "f": [0, 1, 3, 3, 1], "members": [
+             [2], [1, 2], [2, 3], [1, 2, 3], [2, 4], [1, 2, 4], [2, 3, 4], [1, 2, 3, 4]]}),
+    ]
+    for argv, want in cases:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(want, indent=2) + "\n"
+
+
 def test_check_self_dual_line(capsys, write):
     code, out, _ = run(capsys, "check", write("tri.fam", TRIANGLE_T3))
     assert code == 0

@@ -1,14 +1,19 @@
+import io
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clutters import SetFamily
+import oracles
+from clutters import SetFamily, familyio, random_star_selfdual
 from clutters.familyio import (
     ParseError,
     format_families,
     format_family,
     parse_families,
     parse_family,
+    write_members_json,
 )
 
 from conftest import families, family
@@ -37,6 +42,13 @@ def test_parse_bare_form_and_empty_set():
 def test_parse_braces_with_spaces():
     parsed = parse_family("t: 5\n{ 1 , 4 }\n")
     assert parsed.family() == family(5, [[1, 4]])
+
+
+def test_parse_noncanonical_brace_lines():
+    # duplicates, spaces, leading zeros, `_` and non-ASCII digits are read
+    # as int() reads them, whatever path a line takes
+    text = "t: 12\n{1,1}\n{ 1 , 4 }\n{01}\n{1_0}\n{\u0661}\n{1,2,1}\n1 5 7\n{}\n  {2,3}  \n"
+    assert parse_family(text).masks == (1, 9, 1, 512, 1, 3, 81, 0, 6)
 
 
 def test_parse_closure_flag():
@@ -70,6 +82,14 @@ def test_parse_errors_carry_line_numbers():
         ("t: 100000000\n" + "{100000000}\n" * 8, 1, "at most 62"),
         ("t: 3\nclosure: up\n", 2, "closure"),
         ("# nothing\n", 2, "no family"),
+        # brace lines the token table does not read fall back to the element
+        # parser, with its messages
+        ("t: 4\n{,}\n", 2, "bad element ''"),
+        ("t: 4\n{1,}\n", 2, "bad element ''"),
+        ("t: 4\n{1,,2}\n", 2, "bad element ''"),
+        ("t: 16\n{1,17}\n", 2, "element 17 outside ground set 1..16"),
+        ("t: 16\n" + "{1,2}\n" * 29998 + "{17}\n", 30000, "element 17 outside"),
+        ("t: 4\n{1,2\n", 2, "unterminated"),
     ]
     for text, line_no, fragment in cases:
         with pytest.raises(ParseError) as err:
@@ -106,7 +126,40 @@ def test_roundtrip_idempotence():
 
 
 @settings(max_examples=150, deadline=None)
-@given(families())
+@given(families(max_t=20))
 def test_format_parse_round_trip(tm):
     f = SetFamily(*tm)
     assert parse_family(format_family(f)).family() == f
+
+
+def _json(obj, f):
+    out = io.StringIO()
+    write_members_json(obj, f, out)
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(families(max_t=20), st.booleans(), st.sampled_from([1, 2, 3, familyio.CHUNK]))
+def test_writers_match_member_loops(tm, with_empty_set, chunk):
+    t, members = tm
+    if with_empty_set:
+        members = tuple(sorted(set(members) | {0}))
+    f = SetFamily(t, members)
+    with mock.patch.object(familyio, "CHUNK", chunk):
+        assert format_family(f) == oracles.format_family(t, members)
+        other = SetFamily(t, members[::2])
+        assert format_families([f, other]) == "---\n".join(
+            [oracles.format_family(t, members), oracles.format_family(t, members[::2])]
+        )
+        assert _json({"t": t}, f) == oracles.members_json({"t": t}, members)
+        head = {"t": t, "count": len(members), "f": [1, 0, 2]}
+        assert _json(head, f) == oracles.members_json(head, members)
+
+
+def test_writers_across_chunks():
+    # 65,536 members at t = 17, the empty set among them: two full chunks
+    f = random_star_selfdual(17, 3).family
+    f = SetFamily(17, f.members[1:] + (0,))
+    assert len(f) > familyio.CHUNK
+    assert format_family(f) == oracles.format_family(17, f.members)
+    assert _json({"t": 17}, f) == oracles.members_json({"t": 17}, f.members)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import oracles
 from clutters import (
     GroundSetTooLarge,
     NotStarSelfDual,
@@ -39,6 +42,25 @@ def test_generator_is_star_fixed_and_deterministic():
 def test_generator_regression_t3_seed42():
     fam = random_star_selfdual(3, 42).family
     assert fam.members == (0, 3, 5, 6)
+
+
+def test_generator_matches_per_pair_loop():
+    # t = 18 draws two blocks of 2^16 pairs
+    for t in range(1, 19):
+        for seed in (0, 1, 42):
+            want = oracles.random_star_selfdual(t, seed)
+            assert random_star_selfdual(t, seed).family.members == want
+
+
+def test_bulk_draw_equals_single_bit_draws():
+    # what the generator relies on: getrandbits(32 n) holds, little-endian,
+    # the n words whose top bits n calls getrandbits(1) return, and it
+    # leaves the generator in the same state
+    for seed in range(5):
+        bulk, single = random.Random(seed), random.Random(seed)
+        raw = bulk.getrandbits(32 * 1000).to_bytes(4 * 1000, "little")
+        assert [b >> 7 for b in raw[3::4]] == [single.getrandbits(1) for _ in range(1000)]
+        assert bulk.getstate() == single.getstate()
 
 
 def test_generator_t4_middle_count():
