@@ -31,7 +31,7 @@ from .errors import (
     OddGroundSet,
     TrivialClutter,
 )
-from .identities import StarSelfDualFamily, check_appendix, random_star_selfdual
+from .identities import StarSelfDualFamily, check_appendix, family_report, random_star_selfdual
 from .kks import (
     BoundRow,
     BoundTable,
@@ -65,11 +65,8 @@ from .vectors import (
     FVector,
     HVector,
     binom,
-    check_h_identities,
-    check_star_relations,
     f_from_h,
     f_vector,
-    family_report,
     h_from_f,
     h_vector,
 )

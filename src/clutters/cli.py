@@ -136,7 +136,7 @@ def cmd_check(args) -> int:
     self_dual = sets.is_self_dual(cl)
     criterion = sets.self_dual_criterion(cl)
     count = sets.up_closure(cl).size()
-    report = vectors.family_report(cl)
+    report = identities.family_report(cl)
     report["self_dual"] = self_dual
     report["criterion"] = criterion
     report["upset_count"] = count

@@ -30,7 +30,8 @@ from .sets import (
     max_elements,
     star_bitmap,
 )
-from .vectors import binom, f_vector
+from .identities import star_fixed, verdict
+from .vectors import f_vector
 
 
 @dataclass(frozen=True)
@@ -142,23 +143,19 @@ def is_star_self_dual(c: Complex) -> bool:
 
 
 def check_star_selfdual_facts(c: Complex) -> dict:
-    """Enumerative facts forced by star(D) = D.
+    """Enumerative facts forced by star(D) = D, read from the identity
+    registry with D* = D:
 
-      count   #D = 2^(t-1)
-      eq17    f_l + f_{t-l} = C(t,l) for all l
-      middle  f_{t/2} = C(t,t/2) / 2          (even t only, else None)
+      count   #D = 2^(t-1)                        (star_count)
+      eq17    f_l + f_{t-l} = C(t,l) for all l    (eq28)
+      middle  f_{t/2} = C(t,t/2) / 2              (eq29; even t only, else None)
     """
     if not is_star_self_dual(c):
         raise NotStarSelfDual("facts apply only when star(D) = D")
-    t = c.t
-    fv = f_vector(c.family)
-    report: dict = {
-        "t": t,
-        "f": list(fv.counts),
-        "count": len(c.family) == 1 << (t - 1),
-        "eq17": all(fv[l] + fv[t - l] == binom(t, l) for l in range(t + 1)),
-        "middle": 2 * fv[t // 2] == binom(t, t // 2) if t % 2 == 0 else None,
-    }
-    report["pass"] = all(v for k, v in report.items()
-                         if k in ("count", "eq17", "middle") and v is not None)
+    v = star_fixed(f_vector(c.family))
+    report: dict = {"t": c.t, "f": list(v.f)}
+    for key, label in (("count", "star_count"), ("eq17", "eq28"), ("middle", "eq29")):
+        got = verdict(label, v)
+        report[key] = None if got == "n/a" else got == "pass"
+    report["pass"] = False not in (report["count"], report["eq17"], report["middle"])
     return report

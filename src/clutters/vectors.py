@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotAnFVector
-from .sets import SetFamily, UpFamily, complement_bitmap, layer_counts, star_bitmap
+from .sets import SetFamily, UpFamily, layer_counts
 
 PASCAL_MAX_N = 62
 
@@ -79,9 +79,11 @@ class HVector:
 
 
 def f_vector(f: SetFamily | UpFamily) -> FVector:
-    """Size histogram of the family's members. An up-family is counted on
-    its bitmap, so its members are never listed."""
-    if isinstance(f, UpFamily):
+    """Size histogram of the family's members. An up-family, or a family
+    that holds its bitmap (as from `SetFamily.from_bitmap`), is counted on
+    the bitmap (a computed `bitmap` is in the instance __dict__); any
+    other member by member, so it may have t > 28."""
+    if isinstance(f, UpFamily) or "bitmap" in f.__dict__:
         return FVector(f.t, layer_counts(f.bitmap, f.t))
     counts = [0] * (f.t + 1)
     for m in f.members:
@@ -114,91 +116,3 @@ def f_from_h(hv: HVector) -> FVector:
 
 def h_vector(f: SetFamily | UpFamily) -> HVector:
     return h_from_f(f_vector(f))
-
-
-def check_h_identities(f: SetFamily) -> dict[str, bool]:
-    """Consistency relations between a family's f- and h-vectors.
-
-    Each key is checked by evaluating both sides independently:
-
-      h0          h_0 = f_0
-      h1          h_1 = f_1 - t f_0
-      h_penult    h_{t-1} = (-1)^(t-1) sum (-1)^k (t-k) f_k
-      h_last      h_t = (-1)^t sum (-1)^k f_k
-      h_sum       sum h_k = f_t
-      remark_iii  sum 2^(t-k) h_k = #F = sum f_k
-      remark_iv   h(F) + h(2^[t] - F) = (1, 0, ..., 0)      [t <= 28]
-      eq22        conjunction of h0, h1, h_penult, h_last, h_sum
-    """
-    t = f.t
-    fv = f_vector(f)
-    hv = h_from_f(fv)
-    out = {
-        "h0": hv[0] == fv[0],
-        "h1": hv[1] == fv[1] - t * fv[0],
-        "h_penult": hv[t - 1]
-        == (-1) ** (t - 1) * sum((-1) ** k * (t - k) * fv[k] for k in range(t)),
-        "h_last": hv[t] == (-1) ** t * sum((-1) ** k * fv[k] for k in range(t + 1)),
-        "h_sum": sum(hv.values) == fv[t],
-        "remark_iii": sum((1 << (t - k)) * hv[k] for k in range(t + 1))
-        == len(f)
-        == fv.total(),
-    }
-    hc = h_from_f(FVector(t, layer_counts(complement_bitmap(f.bitmap, t), t)))
-    out["remark_iv"] = tuple(a + b for a, b in zip(hv.values, hc.values)) == (
-        (1,) + (0,) * t
-    )
-    out["eq22"] = all(out[k] for k in ("h0", "h1", "h_penult", "h_last", "h_sum"))
-    return out
-
-
-def check_star_relations(f: SetFamily) -> dict[str, bool]:
-    """Relations between a family and its star F*, computed on F*'s bitmap.
-
-      star_count  #F* + #F = 2^t
-      star_f      f_l(F*) + f_{t-l}(F) = C(t,l) for all l
-      eq19        h_l(F*) + (-1)^l sum_{k>=l} C(k,l) h_k(F) = [l == 0]
-      eq19_delta  the l = 0 instance, evaluated by separate code:
-                  h_0(F*) + sum_k h_k(F) = 1
-      ht_sign     h_t(F*) = (-1)^(t+1) h_t(F)
-    """
-    t = f.t
-    fs = star_bitmap(f.bitmap, t)
-    fv, hv = f_vector(f), h_vector(f)
-    sv = FVector(t, layer_counts(fs, t))
-    sh = h_from_f(sv)
-    return {
-        "star_count": fs.bit_count() + len(f) == 1 << t,
-        "star_f": all(sv[l] + fv[t - l] == binom(t, l) for l in range(t + 1)),
-        "eq19": all(
-            sh[l]
-            + (-1) ** l * sum(binom(k, l) * hv[k] for k in range(l, t + 1))
-            == (1 if l == 0 else 0)
-            for l in range(t + 1)
-        ),
-        "eq19_delta": sh[0] + sum(hv.values) == 1,
-        "ht_sign": sh[t] == (-1) ** (t + 1) * hv[t],
-    }
-
-
-def family_report(f: SetFamily) -> dict:
-    """JSON-shaped report for one family: vectors plus identity verdicts."""
-    fv = f_vector(f)
-    hv = h_from_f(fv)
-    identities: dict[str, bool] = {}
-    hid = check_h_identities(f)
-    sid = check_star_relations(f)
-    identities["eq22"] = hid["eq22"]
-    identities["remark_iii"] = hid["remark_iii"]
-    identities["remark_iv"] = hid["remark_iv"]
-    identities["eq19"] = sid["eq19"]
-    for key in ("h0", "h1", "h_penult", "h_last", "h_sum"):
-        identities[key] = hid[key]
-    for key in ("star_count", "star_f", "eq19_delta", "ht_sign"):
-        identities[key] = sid[key]
-    return {
-        "t": f.t,
-        "f": list(fv.counts),
-        "h": list(hv.values),
-        "identities": identities,
-    }

@@ -1,5 +1,5 @@
-"""Naive oracles for the dense bitmap kernel, the self-dual search and the
-text and JSON writers.
+"""Naive oracles for the dense bitmap kernel, the self-dual search, the
+text and JSON writers and the universe verification.
 
 These are the loops over all 2^t subsets that the package used before
 its dense operations moved to 2^t-bit bitmaps, the direct antichain
@@ -7,10 +7,24 @@ search on E_t that the enumeration used before it went through E_(t-1),
 and the member-at-a-time loops that wrote families before `familyio`
 wrote them from half-word tables. They work on plain mask tuples and
 ints, share no code with `clutters`, and are meant for small t only.
+
+The exception is `verify_universe`: the clutter-by-clutter universe
+check, built from the package's self-certifying per-family verifiers,
+against which the per-f-vector `clutters.verify_universe` is compared.
 """
 
 import json
 import random
+
+from clutters import (
+    check_appendix,
+    complement_complex,
+    is_self_dual,
+    self_dual_criterion,
+    up_closure,
+    verify_lemma2,
+    verify_theorem3,
+)
 
 
 def iter_supersets(mask, t):
@@ -186,3 +200,25 @@ def random_star_selfdual(t, seed):
     full = (1 << t) - 1
     members = [g if rng.getrandbits(1) else full ^ g for g in range(1 << (t - 1))]
     return tuple(sorted(members))
+
+
+def verify_universe(t, result):
+    """Theorem3, lemma2 on the complement complex and the appendix per
+    clutter at even t >= 4; else the blocker test against the
+    cardinality criterion, and the appendix."""
+    if t % 2 == 0 and t >= 4:
+        checks = {
+            "theorem3": lambda cl: verify_theorem3(cl)["pass"],
+            "lemma2": lambda cl: verify_lemma2(complement_complex(up_closure(cl)))["pass"],
+        }
+    else:
+        checks = {
+            "criterion_equivalence": lambda cl: is_self_dual(cl) == self_dual_criterion(cl),
+        }
+    checks["appendix"] = lambda cl: check_appendix(up_closure(cl).family())["pass"]
+    report = {"t": t, "count": result.count}
+    for name, check in checks.items():
+        passed = sum(1 for cl in result.items if check(cl))
+        report[name] = {"passed": passed, "failed": result.count - passed}
+    report["pass"] = all(report[name]["failed"] == 0 for name in checks)
+    return report

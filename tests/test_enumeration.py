@@ -1,21 +1,28 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
+import oracles
 from clutters import (
     Clutter,
+    EnumerationResult,
     GroundSetTooLarge,
     NotSelfDual,
     NotStarSelfDual,
     blocker_berge,
     blocker_dense,
+    check_appendix,
     complement_complex,
     enumerate_self_dual,
     enumerate_star_selfdual_complexes,
+    family_report,
     is_self_dual,
     is_star_self_dual,
     self_dual_criterion,
     up_closure,
+    verify_lemma2,
+    verify_theorem3,
     verify_universe,
 )
 from clutters import enumeration
@@ -23,7 +30,9 @@ from clutters.sets import SetFamily
 
 from oracles import pruned_self_dual_search
 
-from conftest import COMPLEX_T4, SIMPLEX_T4, TRIANGLE, clutter, family
+from conftest import (
+    COMPLEX_T4, SIMPLEX_T4, TRIANGLE, clutter, family, not_applicable, self_dual_clutters,
+)
 
 
 def brute_force_self_dual(t):
@@ -174,6 +183,39 @@ def test_verify_universe_t4(enum4):
     assert report["theorem3"] == {"passed": 12, "failed": 0}
     assert report["lemma2"] == {"passed": 12, "failed": 0}
     assert report["appendix"] == {"passed": 12, "failed": 0}
+
+
+def test_verify_universe_matches_per_clutter_reference(enum4, enum5, enum6):
+    results = {4: enum4, 5: enum5, 6: enum6}
+    for t in range(1, 7):
+        res = results.get(t) or enumerate_self_dual(t)
+        assert verify_universe(t, result=res) == oracles.verify_universe(t, res)
+
+
+@pytest.mark.parametrize("t, sets", [
+    (4, [[1, 2], [2, 3], [3, 4]]),  # #A^v = 8 = 2^3, yet B(A) != A
+    (3, [[1, 2]]),
+    (5, [[1, 2], [3, 4, 5]]),
+])
+def test_verify_universe_certifies_every_clutter(t, sets):
+    cl = clutter(t, sets)
+    assert not is_self_dual(cl)
+    with pytest.raises(NotSelfDual):
+        verify_universe(t, result=EnumerationResult(t, 1, (cl,)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(self_dual_clutters())
+def test_random_self_dual_clutters_beyond_t6(cl):
+    t = cl.t
+    assert blocker_dense(cl) == blocker_berge(cl) == cl
+    if t % 2 == 0:
+        assert verify_theorem3(cl)["pass"]
+        assert verify_lemma2(complement_complex(up_closure(cl)))["pass"]
+    checks = check_appendix(up_closure(cl).family())["checks"]
+    assert {k for k, v in checks.items() if v == "n/a"} == not_applicable(t)
+    assert all(v in ("pass", "n/a") for v in checks.values()), checks
+    assert all(family_report(cl)["identities"].values())
 
 
 def test_criterion_agrees_on_enumerated(enum5):

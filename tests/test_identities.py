@@ -14,9 +14,10 @@ from clutters import (
     star,
     up_closure,
 )
+from clutters.identities import APPENDIX, CHECK, REGISTRY, counts, star_fixed, verdict
 from clutters.vectors import binom, f_vector
 
-from conftest import SINGLETON2, TRIANGLE, clutter
+from conftest import SINGLETON2, TRIANGLE, clutter, not_applicable
 
 
 def test_construction_validates_pairing():
@@ -171,3 +172,63 @@ def test_odd_sign_correction_matters_at_t3():
     lo = fv[0] - fv[1]
     assert hv[3] != binom(2, 1) - 2 * lo  # unsigned form fails
     assert hv[3] == -binom(2, 1) - 2 * lo  # signed form holds
+
+
+def _one_entry_changes(v):
+    """Counts that differ from v by one in one entry of f, h, s, sh or ch."""
+    for field in ("f", "h", "s", "sh", "ch"):
+        vec = getattr(v, field)
+        for i in range(len(vec)):
+            yield v._replace(**{field: vec[:i] + (vec[i] + 1,) + vec[i + 1:]})
+
+
+def test_every_label_fails_when_one_entry_changes():
+    # a predicate that compared a value with itself would survive every change
+    rng = random.Random(16)
+    star_fixed_cases = [counts(random_star_selfdual(t, t).family) for t in (3, 4, 6, 7, 8)]
+    any_family_cases = [
+        counts(SetFamily(t, tuple(rng.sample(range(1 << t), rng.randint(0, 1 << t)))))
+        for t in (3, 6, 8)
+    ]
+    for label, entry in REGISTRY.items():
+        cases = star_fixed_cases + (any_family_cases if label in CHECK else [])
+        cases = [v for v in cases if entry.applies(v.t)]
+        assert cases, label
+        for v in cases:
+            assert verdict(label, v) == "pass", (label, v)
+            assert any(verdict(label, w) != "pass" for w in _one_entry_changes(v)), (label, v)
+
+
+def test_applicability_follows_the_parity_guards():
+    for t in range(1, 13):
+        for seed in (0, 1):
+            checks = check_appendix(random_star_selfdual(t, seed))["checks"]
+            assert list(checks) == list(APPENDIX[t % 2])
+            assert {k for k, v in checks.items() if v == "n/a"} == not_applicable(t)
+            assert set(checks.values()) <= {"pass", "n/a"}
+        assert all(REGISTRY[label].applies(t) for label in CHECK)
+
+
+def test_report_key_order():
+    # the order `check --json` and `identities` print their labels in
+    assert CHECK == ("eq22", "remark_iii", "remark_iv", "eq19", "h0", "h1", "h_penult",
+                     "h_last", "h_sum", "star_count", "star_f", "eq19_delta", "ht_sign")
+    head = ("eq28", "h_pair_sum", "h_complement_form", "eq21", "eq14", "f_delta", "eq23",
+            "eq25", "eq24", "eq29")
+    assert APPENDIX[0] == head + ("weighted_h_sum", "eq9_block", "odd_t_block",
+                                  "odd_h_relation", "eq27_block", "eq27_eq9_block")
+    assert APPENDIX[1] == head + ("eq9_block", "eq27_block", "eq27_eq9_block",
+                                  "weighted_h_sum", "odd_t_block", "odd_h_relation")
+    assert set(CHECK) | set(APPENDIX[0]) == set(APPENDIX[1]) | set(CHECK) == set(REGISTRY)
+
+
+def test_appendix_failure_names_the_first_failing_index():
+    v = star_fixed(f_vector(random_star_selfdual(6, 0).family))
+    f = list(v.f)
+    f[4] += 1
+    bad = v._replace(f=tuple(f))
+    # f_2(F*) + f_4(F) = C(6,2) is the first instance to break
+    assert verdict("eq28", bad) == "fail (l=2)"
+    assert verdict("eq29", bad) == "pass"
+    assert verdict("eq24", v._replace(h=v.h[:6] + (1,))) == "fail"
+    assert verdict("eq24", star_fixed(f_vector(random_star_selfdual(5, 0).family))) == "n/a"

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import oracles
 from clutters import (
     Clutter,
     FVector,
@@ -11,8 +12,6 @@ from clutters import (
     NotAnFVector,
     SetFamily,
     binom,
-    check_h_identities,
-    check_star_relations,
     f_from_h,
     f_vector,
     family_report,
@@ -21,6 +20,8 @@ from clutters import (
     star,
     up_closure,
 )
+from clutters import vectors
+from clutters.sets import layer_counts
 
 from conftest import (
     COMPLEX_T4, CONE5, SIMPLEX_T4, SINGLETON2, TRIANGLE, clutter, families, family,
@@ -106,6 +107,24 @@ def test_principal_singleton_upset_vectors():
         assert h_from_f(fv).values == (0, 1) + (0,) * (t - 1)
 
 
+def test_f_vector_counts_a_held_bitmap_by_layers(monkeypatch):
+    layered = []
+    monkeypatch.setattr(vectors, "layer_counts",
+                        lambda bm, t: layered.append(t) or layer_counts(bm, t))
+    rng = random.Random(17)
+    for t in (1, 5, 12, 20):
+        masks = tuple(sorted(rng.sample(range(1 << t), min(1 << t, 300))))
+        want = tuple(oracles.f_counts(masks, t))
+        assert f_vector(SetFamily(t, masks)).counts == want
+        assert layered == []
+        held = SetFamily.from_bitmap(t, SetFamily(t, masks).bitmap)
+        assert f_vector(held).counts == want
+        assert layered == [t]
+        layered.clear()
+    # a sparse family beyond the dense limit needs no bitmap
+    assert f_vector(SetFamily(40, (0, 3, 1 << 39))).counts == (1, 1, 1) + (0,) * 38
+
+
 def test_f_vector_empty_family():
     assert f_vector(SetFamily(3, ())).counts == (0, 0, 0, 0)
 
@@ -170,29 +189,33 @@ def test_h_linearity_on_disjoint_union():
         assert hu.values == tuple(a + b for a, b in zip(h1.values, h2.values))
 
 
+def identities(fam):
+    return family_report(fam)["identities"]
+
+
 def test_check_h_identities_examples():
-    rep = check_h_identities(up_closure(clutter(5, CONE5)).family())
+    rep = identities(up_closure(clutter(5, CONE5)).family())
     assert all(rep.values())
     full = SetFamily(4, tuple(range(16)))
     assert h_vector(full).values == (1, 0, 0, 0, 0)
-    assert all(check_h_identities(full).values())
+    assert all(identities(full).values())
 
 
 def test_check_h_identities_random():
     rng = random.Random(13)
     for _ in range(300):
         t = rng.randint(3, 10)
-        assert all(check_h_identities(random_family(rng, t)).values())
+        assert all(identities(random_family(rng, t)).values())
 
 
 def test_check_star_relations_selfdual_family():
     fam = up_closure(clutter(3, SINGLETON2)).family()
     assert star(fam) == fam
-    assert all(check_star_relations(fam).values())
+    assert all(identities(fam).values())
 
 
 def test_check_star_relations_empty_family():
-    rep = check_star_relations(SetFamily(3, ()))
+    rep = identities(SetFamily(3, ()))
     assert all(rep.values())
     assert f_vector(star(SetFamily(3, ()))).counts == (1, 3, 3, 1)
 
@@ -201,14 +224,14 @@ def test_check_star_relations_random():
     rng = random.Random(14)
     for _ in range(300):
         t = rng.randint(3, 10)
-        assert all(check_star_relations(random_family(rng, t)).values())
+        assert all(identities(random_family(rng, t)).values())
 
 
 def test_eq19_delta_instance_is_separately_checked():
     rng = random.Random(15)
     for _ in range(50):
         fam = random_family(rng, 6)
-        rep = check_star_relations(fam)
+        rep = identities(fam)
         hs = h_vector(star(fam))
         assert rep["eq19_delta"] == (hs[0] + sum(h_vector(fam).values) == 1)
 
