@@ -29,6 +29,7 @@ from .sets import (
     iter_bits,
     max_elements,
     star_bitmap,
+    star_invariant,
 )
 from .identities import star_fixed, verdict
 from .vectors import f_vector
@@ -138,8 +139,7 @@ def is_alexander_self_dual(c: Complex) -> bool:
 
 def is_star_self_dual(c: Complex) -> bool:
     """star(D) = D relative to the full ground set E_t (t <= 28)."""
-    bm = c.family.bitmap
-    return star_bitmap(bm, c.t) == bm
+    return star_invariant(c.family.bitmap, c.t)
 
 
 def check_star_selfdual_facts(c: Complex) -> dict:

@@ -20,8 +20,9 @@ containing c puts E_(t-1) - c, a subset of E_(t-1) - X, in the
 up-family. A rejected node has no pair-free descendants, since
 generators only add members, so every visited node is a hit. Each
 antichain is reached only by choosing its members in candidate order, so
-each clutter is emitted once. Every hit is still certified with an
-actual blocker computation.
+each clutter is emitted once. Every hit is still certified from its own
+members (`Clutter.self_dual`: B(A)^v = (A^v)* compared with A^v on
+bitmaps), and `verify_universe` reads that cached verdict.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from .sets import (
     Clutter,
     SetFamily,
     UpFamily,
-    blocker,
     check_ground_set,
     complement_bitmap,
     layer_counts,
+    members_of,
     minimal_bitmap,
     star_bitmap,
     up_bitmap,
@@ -54,8 +55,11 @@ MAX_ENUM_T = 6
 @dataclass(frozen=True)
 class EnumerationResult:
     t: int
-    count: int
     items: tuple
+
+    @property
+    def count(self) -> int:
+        return len(self.items)
 
 
 def enumerate_self_dual(t: int) -> EnumerationResult:
@@ -90,12 +94,12 @@ def enumerate_self_dual(t: int) -> EnumerationResult:
     clutters = []
     for bm in upsets:
         up = bm | star_bitmap(bm, s) << (1 << s)
-        cl = Clutter._from_minimal_bitmap(t, minimal_bitmap(up, t))
-        if blocker(cl) != cl:
+        cl = Clutter._antichain(t, members_of(minimal_bitmap(up, t), t))
+        if not cl.self_dual:
             raise NotSelfDual(f"search hit {cl!r} failed blocker certification")
         clutters.append(cl)
     clutters.sort(key=lambda cl: cl.members)
-    return EnumerationResult(t, len(clutters), tuple(clutters))
+    return EnumerationResult(t, tuple(clutters))
 
 
 def complement_complex(u: SetFamily | UpFamily) -> Complex:
@@ -113,14 +117,14 @@ def enumerate_star_selfdual_complexes(t: int) -> EnumerationResult:
         if not is_star_self_dual(cx):
             raise NotStarSelfDual(f"bijection image of {cl!r} failed the star check")
         complexes.append(cx)
-    return EnumerationResult(t, len(complexes), tuple(complexes))
+    return EnumerationResult(t, tuple(complexes))
 
 
 def verify_universe(t: int, result: EnumerationResult | None = None) -> dict:
     """Run the full verification harness over every enumerated clutter.
 
-    Each clutter A is certified once, on its up-set bitmap ((A^v)* = A^v
-    iff A = B(A); NotSelfDual otherwise). The rest reads only the
+    Each clutter A is certified once (`Clutter.self_dual`, cached from
+    the search; NotSelfDual otherwise). The rest reads only the
     f-vector of A^v, so it runs once per distinct f-vector (2,646
     clutters at t = 6 have 7), counted with its multiplicity. Even
     t >= 4: theorem3 bounds, lemma2 bounds on the complement complex
@@ -128,15 +132,17 @@ def verify_universe(t: int, result: EnumerationResult | None = None) -> dict:
     t and t = 2, where the bound tables are undefined: agreement of the
     blocker test with the cardinality criterion #A^v = 2^(t-1), plus the
     appendix identities. Failures are report content, not errors. A
-    precomputed enumeration may be passed to avoid repeating the search.
+    precomputed enumeration on E_t (ValueError otherwise) may be passed
+    to avoid repeating the search.
     """
     res = result if result is not None else enumerate_self_dual(t)
+    if res.t != t or any(cl.t != t for cl in res.items):
+        raise ValueError(f"enumeration result is not on E_{t}")
     tally: Counter[tuple[int, ...]] = Counter()
     for cl in res.items:
-        up = cl.upset_bitmap
-        if star_bitmap(up, t) != up:
+        if not cl.self_dual:
             raise NotSelfDual(f"enumerated {cl!r} does not equal its blocker")
-        tally[tuple(layer_counts(up, t))] += 1
+        tally[tuple(layer_counts(cl.upset_bitmap, t))] += 1
     bounds = t % 2 == 0 and t >= 4
     names = ("theorem3", "lemma2") if bounds else ("criterion_equivalence",)
     passed = dict.fromkeys(names + ("appendix",), 0)

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import NotStarSelfDual
-from .sets import SetFamily, check_dense, complement_bitmap, layer_counts, star_bitmap
+from .sets import SetFamily, check_dense, complement_bitmap, layer_counts
+from .sets import star_bitmap, star_invariant
 from .vectors import FVector, binom as C, f_vector, h_from_f
 
 _DRAW = 1 << 16  # pairs per getrandbits call: 256 KiB of RNG output
@@ -252,7 +253,7 @@ class StarSelfDualFamily:
     def __post_init__(self) -> None:
         f = self.family
         # the count rejects most families before any 2^t-bit work
-        if len(f) != 1 << (f.t - 1) or star_bitmap(f.bitmap, f.t) != f.bitmap:
+        if len(f) != 1 << (f.t - 1) or not star_invariant(f.bitmap, f.t):
             raise NotStarSelfDual(
                 "family must contain exactly one set of each complementary pair"
             )

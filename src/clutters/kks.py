@@ -200,7 +200,8 @@ def _verify_against(table: BoundTable, fv: FVector) -> dict:
 def verify_theorem3(a: Clutter) -> dict:
     """Check the f-vector of a's up-family against theorem3_table(t).
 
-    Self-duality is recomputed here (blocker equality), never trusted
+    Self-duality is decided by `is_self_dual` on a itself ((a^v)* = a^v
+    on bitmaps, or Berge where `blocker` would take Berge), never taken
     from the caller, so the report is self-certifying.
     """
     if a.t % 2:

@@ -212,6 +212,12 @@ def star_bitmap(bm: int, t: int) -> int:
     return int.from_bytes(bm.to_bytes(n >> 3, "little").translate(_STAR_BYTE), "big")
 
 
+def star_invariant(bm: int, t: int) -> bool:
+    """F* = F on a bitmap: F holds exactly one set of each complementary
+    pair. For an up-family A^v this is A = B(A), since B(A)^v = (A^v)*."""
+    return star_bitmap(bm, t) == bm
+
+
 def layer_counts(bm: int, t: int) -> list[int]:
     """Long f-vector of a bitmap: popcount of each size layer."""
     if t > _CACHE_T:
@@ -252,19 +258,17 @@ class SetFamily:
 
     @classmethod
     def from_bitmap(cls, t: int, bm: int) -> "SetFamily":
-        """Family of a dense bitmap, which it keeps as its `bitmap`.
-
-        `members_of` is ascending and duplicate-free, so it is not sorted
-        again, and only its last member is range-checked. Subclass
-        invariants are not checked: Clutter overrides this.
+        """Family of a dense bitmap in 0..2^(2^t) - 1, which it keeps as
+        its `bitmap`. `members_of` is ascending and duplicate-free, so it
+        is not sorted again. Subclass invariants are not checked: Clutter
+        overrides this.
         """
         check_ground_set(t)
-        members = members_of(bm, t)
-        if members and members[-1] > full_mask(t):
+        if bm < 0 or bm >> (1 << t):
             raise ValueError(f"member mask outside 2^[{t}]")
         fam = object.__new__(cls)
         object.__setattr__(fam, "t", t)
-        object.__setattr__(fam, "members", members)
+        object.__setattr__(fam, "members", members_of(bm, t))
         fam.__dict__["bitmap"] = bm
         return fam
 
@@ -332,15 +336,19 @@ class Clutter(SetFamily):
     @classmethod
     def from_bitmap(cls, t: int, bm: int) -> "Clutter":
         """Clutter of a dense bitmap, checked pair by pair like any input."""
-        cl = cls(t, members_of(bm, t))
+        cl = cls(t, SetFamily.from_bitmap(t, bm).members)
         cl.__dict__["bitmap"] = bm
         return cl
 
     @classmethod
-    def _from_minimal_bitmap(cls, t: int, bm: int) -> "Clutter":
-        """Clutter of a `minimal_bitmap` output. No member of that contains
-        another, so the O(n^2) pair check is skipped."""
-        return super().from_bitmap(t, bm)
+    def _antichain(cls, t: int, masks: Iterable[int]) -> "Clutter":
+        """Clutter of distinct masks in 0..2^t - 1, in any order, that the
+        package built as an antichain (`_minimalize` or `minimal_bitmap`
+        output); the O(n^2) pair check runs only on masks from outside."""
+        cl = object.__new__(cls)
+        object.__setattr__(cl, "t", t)
+        object.__setattr__(cl, "members", tuple(sorted(masks)))
+        return cl
 
     @property
     def nontrivial(self) -> bool:
@@ -351,6 +359,15 @@ class Clutter(SetFamily):
         """Bitmap of the up-closure A^v, computed once per clutter (t <= 28)."""
         check_dense(self.t)
         return up_bitmap(bitmap_of(self.members, self.t), self.t)
+
+    @cached_property
+    def self_dual(self) -> bool:
+        """A = B(A), decided once per clutter. Where `blocker` takes the
+        bitmap kernel this is (A^v)* = A^v on `upset_bitmap`, recomputed
+        from the members; elsewhere it is Berge's blocker equality."""
+        if _dense_blocker(self):
+            return star_invariant(self.upset_bitmap, self.t)
+        return blocker_berge(self) == self
 
 
 def require_nontrivial(a: Clutter) -> None:
@@ -379,14 +396,14 @@ def star(f: SetFamily) -> SetFamily:
 
 def min_elements(f: SetFamily) -> Clutter:
     """Antichain of inclusion-minimal members; idempotent."""
-    return Clutter(f.t, tuple(_minimalize(f.members)))
+    return Clutter._antichain(f.t, _minimalize(f.members))
 
 
 def max_elements(f: SetFamily) -> Clutter:
     """Antichain of inclusion-maximal members: the complements of the
     minimal complements."""
     full = full_mask(f.t)
-    return Clutter(f.t, tuple(full ^ m for m in _minimalize(full ^ m for m in f.members)))
+    return Clutter._antichain(f.t, [full ^ m for m in _minimalize(full ^ m for m in f)])
 
 
 class UpFamily:
@@ -445,9 +462,8 @@ def up_closure(a: Clutter) -> UpFamily:
 def blocker_dense(a: Clutter) -> Clutter:
     """Blocker on bitmaps: B(a) = min((a^v)*), since B(a)^v = (a^v)*.
     Requires t <= 28."""
-    return Clutter._from_minimal_bitmap(
-        a.t, minimal_bitmap(star_bitmap(a.upset_bitmap, a.t), a.t)
-    )
+    bm = minimal_bitmap(star_bitmap(a.upset_bitmap, a.t), a.t)
+    return Clutter._antichain(a.t, members_of(bm, a.t))
 
 
 def blocker_berge(a: Clutter) -> Clutter:
@@ -467,7 +483,7 @@ def blocker_berge(a: Clutter) -> Clutter:
                 for i in iter_bits(e):
                     new.add(tr | (1 << i))
         trans = _minimalize(new)
-    return Clutter(a.t, tuple(trans))
+    return Clutter._antichain(a.t, trans)
 
 
 def blocker(a: Clutter) -> Clutter:
@@ -485,15 +501,21 @@ def blocker(a: Clutter) -> Clutter:
     was the faster one up to about 8 members at t = 20, 12 at t = 24 and
     16 at t = 28 (0.4 ms against 1.4 s for 4 members at t = 28).
     """
-    if a.t <= DENSE_MAX_T and len(a) > a.t - 12:
-        return blocker_dense(a)
-    return blocker_berge(a)
+    return blocker_dense(a) if _dense_blocker(a) else blocker_berge(a)
+
+
+def _dense_blocker(a: Clutter) -> bool:
+    """`blocker`'s backend rule: the bitmap kernel for t <= 28 unless a
+    has at most t - 12 members."""
+    return a.t <= DENSE_MAX_T and len(a) > a.t - 12
 
 
 def is_self_dual(a: Clutter) -> bool:
-    """True iff B(a) = a (structural equality of canonical forms)."""
+    """True iff B(a) = a: the verdict `Clutter.self_dual`, decided once
+    per clutter as (a^v)* = a^v on bitmaps, or by Berge where `blocker`
+    would take Berge. No blocker is built on the bitmap side."""
     require_nontrivial(a)
-    return blocker(a) == a
+    return a.self_dual
 
 
 def self_dual_criterion(a: Clutter) -> bool:

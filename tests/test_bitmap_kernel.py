@@ -85,6 +85,12 @@ def test_encode_decode_round_trip(tf):
 def test_from_bitmap_checks_what_it_does_not_trust():
     with pytest.raises(ValueError, match="outside"):
         SetFamily.from_bitmap(2, 1 << 4)
+    # a bitmap outside 0..2^(2^t) - 1 is rejected input at every t
+    for t in range(1, 7):
+        for bm in (1 << (1 << t), -1):
+            for cls in (SetFamily, Clutter):
+                with pytest.raises(ValueError, match=rf"member mask outside 2\^\[{t}\]"):
+                    cls.from_bitmap(t, bm)
     # a bitmap from outside the kernel need not be an antichain
     with pytest.raises(ValueError, match="not an antichain"):
         Clutter.from_bitmap(3, bitmap_of((1, 3), 3))
@@ -98,7 +104,18 @@ def test_minimal_members_of_an_up_set_are_an_antichain(tf):
     bm = minimal_bitmap(up_bitmap(bitmap_of(members, t), t), t)
     assert oracles.is_antichain(members_of(bm, t))
     # the unchecked constructor agrees with the checked one
-    assert Clutter._from_minimal_bitmap(t, bm) == Clutter(t, members_of(bm, t))
+    assert Clutter._antichain(t, members_of(bm, t)) == Clutter(t, members_of(bm, t))
+
+
+@SETTINGS
+@given(families())
+def test_minimalize_output_is_an_antichain(tf):
+    t, members = tf
+    kept = sets._minimalize(members)
+    assert oracles.is_antichain(kept)
+    assert sorted(kept) == [m for m in members if not any(r != m and r & ~m == 0 for r in members)]
+    # the unchecked constructor agrees with the checked one
+    assert Clutter._antichain(t, kept) == Clutter(t, kept)
 
 
 def test_decode_skips_long_zero_runs():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from clutters import Clutter, enumeration, sets
+from clutters import sets
 from clutters.cli import main
 
 TRIANGLE_T3 = "t: 3\n{1,2}\n{1,3}\n{2,3}\n"
@@ -267,7 +267,7 @@ def test_enumerate_t2_verify(capsys):
 
 
 def test_enumerate_failed_certificate_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(enumeration, "blocker", lambda cl: Clutter(cl.t, ()))
+    monkeypatch.setattr(sets, "star_invariant", lambda bm, t: False)
     code, out, err = run(capsys, "enumerate", "--t", "3")
     assert code == 1
     assert out == ""

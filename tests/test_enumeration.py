@@ -26,7 +26,7 @@ from clutters import (
     verify_universe,
 )
 from clutters import enumeration
-from clutters.sets import SetFamily
+from clutters.sets import SetFamily, star_invariant
 
 from oracles import pruned_self_dual_search
 
@@ -201,7 +201,7 @@ def test_verify_universe_certifies_every_clutter(t, sets):
     cl = clutter(t, sets)
     assert not is_self_dual(cl)
     with pytest.raises(NotSelfDual):
-        verify_universe(t, result=EnumerationResult(t, 1, (cl,)))
+        verify_universe(t, result=EnumerationResult(t, (cl,)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,6 +209,11 @@ def test_verify_universe_certifies_every_clutter(t, sets):
 def test_random_self_dual_clutters_beyond_t6(cl):
     t = cl.t
     assert blocker_dense(cl) == blocker_berge(cl) == cl
+    assert is_self_dual(cl)
+    # dropping a member leaves an antichain whose up-family is too small
+    if len(cl) > 1:
+        part = Clutter(t, cl.members[1:])
+        assert not is_self_dual(part) and blocker_berge(part) != part
     if t % 2 == 0:
         assert verify_theorem3(cl)["pass"]
         assert verify_lemma2(complement_complex(up_closure(cl)))["pass"]
@@ -224,11 +229,42 @@ def test_criterion_agrees_on_enumerated(enum5):
 
 
 def test_certification_failure_raises_package_error(monkeypatch):
-    # a blocker that disagrees with the search must stop the enumeration
-    # with NotSelfDual, also under python -O
-    monkeypatch.setattr(enumeration, "blocker", lambda cl: Clutter(cl.t, ()))
+    # a certificate that disagrees with the search must stop the
+    # enumeration with NotSelfDual, also under python -O
+    monkeypatch.setattr("clutters.sets.star_invariant", lambda bm, t: False)
     with pytest.raises(NotSelfDual, match="certification"):
         enumerate_self_dual(3)
+
+
+def test_each_hit_is_certified_once(monkeypatch):
+    calls = []
+
+    def counted(bm, t):
+        calls.append(t)
+        return star_invariant(bm, t)
+
+    monkeypatch.setattr("clutters.sets.star_invariant", counted)
+    res = enumerate_self_dual(6)
+    assert len(calls) == res.count == 2646
+    assert verify_universe(6, result=res)["pass"]
+    assert len(calls) == 2646  # verify_universe reads the search's verdicts
+    # a clutter built elsewhere is decided on first read, then cached
+    foreign = EnumerationResult(6, tuple(Clutter(6, cl.members) for cl in res.items[:10]))
+    assert verify_universe(6, result=foreign)["pass"]
+    assert verify_universe(6, result=foreign)["pass"]
+    assert len(calls) == 2656
+
+
+def test_verify_universe_rejects_a_result_on_another_ground_set(enum4, enum5):
+    with pytest.raises(ValueError, match="not on E_4"):
+        verify_universe(4, result=enum5)
+    with pytest.raises(ValueError, match="not on E_6"):
+        verify_universe(6, result=EnumerationResult(6, enum5.items))
+    with pytest.raises(ValueError, match="not on E_5"):
+        verify_universe(5, result=EnumerationResult(5, enum5.items + enum4.items[:1]))
+    # the count is the items', not a second copy that could disagree
+    report = verify_universe(4, result=EnumerationResult(4, enum4.items))
+    assert report["count"] == 12 and report["pass"]
 
 
 def test_star_check_failure_raises_package_error(monkeypatch):

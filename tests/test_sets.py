@@ -278,6 +278,40 @@ def test_is_self_dual_rejects_trivial():
         self_dual_criterion(Clutter(3, (0,)))
 
 
+def berge_verdict(cl):
+    """Self-duality by the definition: the Berge blocker equals cl."""
+    return blocker_berge(cl) == cl
+
+
+def test_is_self_dual_agrees_with_berge_on_random_clutters():
+    rng = random.Random(9)
+    seen = set()
+    for _ in range(400):
+        t = rng.randint(1, 8)
+        size = rng.randint(1, t)
+        cl = min_elements(family(t, [rng.sample(range(1, t + 1), rng.randint(1, size))
+                                     for _ in range(rng.randint(1, 6))]))
+        verdict = is_self_dual(cl)
+        assert verdict == berge_verdict(cl), cl
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_is_self_dual_on_the_berge_side():
+    # the E_4 path passes the count yet is not self-dual, on both sides
+    path = clutter(4, [[1, 2], [2, 3], [3, 4]])
+    assert not is_self_dual(path) and not berge_verdict(path)
+    # t = 30 is beyond the bitmap kernel, so the verdict is Berge's
+    for sets, verdict in ((TRIANGLE, True), (SINGLETON2, True), ([[1, 2]], False),
+                          ([[1, 2], [2, 3], [3, 4]], False)):
+        cl = clutter(30, sets)
+        assert is_self_dual(cl) == berge_verdict(cl) == verdict
+        assert "upset_bitmap" not in cl.__dict__
+    # a few members at t = 20 take Berge too, as `blocker` would
+    cl = clutter(20, TRIANGLE)
+    assert is_self_dual(cl) and "upset_bitmap" not in cl.__dict__
+
+
 def test_self_dual_criterion_examples():
     assert self_dual_criterion(clutter(4, SINGLETON2))
     assert self_dual_criterion(clutter(4, TRIANGLE))
