@@ -47,7 +47,6 @@ from .kks import (
 from .sets import (
     Clutter,
     SetFamily,
-    UpFamily,
     blocker,
     blocker_berge,
     blocker_dense,

@@ -8,9 +8,11 @@ raises (the package raises `ValueError` only for input it rejects; see
   1  `verification failed: ...`: a check failed, or the input is not
      self-dual (`NotSelfDual`) or not star-self-dual (`NotStarSelfDual`);
   2  `error: ...`: any other `ValueError`, i.e. rejected input: an
-     unparseable or non-UTF-8 file, a malformed family, a bad flag value,
-     an unreadable file or an unwritable `--out`. argparse also exits 2
-     on unknown or missing flags.
+     unparseable or non-UTF-8 file, a malformed family, a bad flag value
+     or combination, an unreadable file or an unwritable `--out`.
+     argparse also exits 2 on unknown or missing flags;
+  141  the reader closed stdout (a broken pipe, 128 + SIGPIPE); nothing
+     is printed.
 
 The message is one stderr line, prefixed with the input file's path when
 the command reads one. Any other exception is a defect and keeps its
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import complexes, enumeration, familyio, identities, kks, sets, vectors
@@ -88,16 +91,16 @@ def cmd_upset(args) -> int:
     up = sets.up_closure(_min_clutter(args.file))
     fv = vectors.f_vector(up)
     if args.json:
-        out = {"t": up.t, "count": up.size(), "f": list(fv.counts)}
+        out = {"t": up.t, "count": len(up), "f": list(fv.counts)}
         if args.list:
-            familyio.write_members_json(out, up.family(), sys.stdout)
+            familyio.write_members_json(out, up, sys.stdout)
         else:
             _emit_json(out)
     elif args.list:
-        print(familyio.format_family(up.family()), end="")
+        print(familyio.format_family(up), end="")
     else:
         print(f"t: {up.t}")
-        print(f"count: {up.size()}")
+        print(f"count: {len(up)}")
         print(f"f: {_vec(fv.counts)}")
     return 0
 
@@ -107,7 +110,7 @@ def _min_clutter(path: str) -> sets.Clutter:
     return sets.min_elements(_family(path))
 
 
-def _vector_family(args) -> sets.SetFamily | sets.UpFamily:
+def _vector_family(args) -> sets.SetFamily:
     if args.upset:
         return sets.up_closure(_min_clutter(args.file))
     return _family(args.file)
@@ -232,6 +235,8 @@ def _aggregate_checks(reports: list[dict]) -> dict[str, str]:
 
 def cmd_identities(args) -> int:
     if args.random:
+        if args.file:
+            raise ValueError("give a family file or --random, not both")
         if args.t is None:
             raise ValueError("--random requires --t")
         if args.n < 1:
@@ -247,6 +252,8 @@ def cmd_identities(args) -> int:
     else:
         if not args.file:
             raise ValueError("need a family file or --random")
+        if args.t is not None:
+            raise ValueError("--t requires --random")
         report = identities.check_appendix(_family(args.file))
         checks = report["checks"]
         ok = report["pass"]
@@ -358,7 +365,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     where = f"{args.file}: " if getattr(args, "file", None) else ""
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that succeed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (VerificationFailure, NotSelfDual, NotStarSelfDual) as exc:
         print(f"verification failed: {where}{exc}", file=sys.stderr)
         return 1

@@ -43,7 +43,7 @@ class Complex:
 
     def __post_init__(self) -> None:
         f = self.family
-        if not f.members:
+        if not len(f):
             raise ValueError("a complex has at least the empty face")
         if down_bitmap(f.bitmap, f.t) != f.bitmap:
             # name the first face, in canonical order, that lacks a subset

@@ -37,7 +37,6 @@ from .kks import _verify_against, lemma2_table, theorem3_table
 from .sets import (
     Clutter,
     SetFamily,
-    UpFamily,
     check_ground_set,
     complement_bitmap,
     layer_counts,
@@ -102,7 +101,7 @@ def enumerate_self_dual(t: int) -> EnumerationResult:
     return EnumerationResult(t, tuple(clutters))
 
 
-def complement_complex(u: SetFamily | UpFamily) -> Complex:
+def complement_complex(u: SetFamily) -> Complex:
     """The complex 2^[t] - F for an increasing family F with F* = F."""
     return Complex(SetFamily.from_bitmap(u.t, complement_bitmap(u.bitmap, u.t)))
 

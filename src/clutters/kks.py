@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 from .complexes import Complex, is_star_self_dual
 from .errors import InvalidLevel, NotSelfDual, NotStarSelfDual, OddGroundSet
@@ -127,42 +128,37 @@ def _check_even(t: int) -> None:
         raise ValueError(f"bound tables defined for even 4 <= t <= 28, got {t}")
 
 
-def lemma2_table(t: int) -> BoundTable:
-    """Bounds for a complex D with star(D) = D on even E_t:
-    f_0 = 1, f_t = 0, f_{t/2} = C(t-1, t/2), f_k >= C(t-1, k) below the
-    middle, f_k <= C(t-1, k) above it."""
+def _bound_table(t: int, bound: Callable[[int], int], below: str) -> BoundTable:
+    """The table with bound value bound(k) on even E_t: exact at k = 0,
+    t/2 and t, of kind `below` ("lower" or "upper") below the middle and
+    of the other kind above it."""
     _check_even(t)
     half = t // 2
     rows = []
     for k in range(t + 1):
-        b = binom(t - 1, k)
+        b = bound(k)
         if k == 0 or k == t or k == half:
             rows.append(BoundRow(k, "exact", b, b, b))
-        elif k < half:
+        elif (k < half) == (below == "lower"):
             rows.append(BoundRow(k, "lower", None, b, binom(t, k)))
         else:
             rows.append(BoundRow(k, "upper", None, 0, b))
     pair = tuple((k, binom(t, half - k)) for k in range(1, half))
     return BoundTable(t, tuple(rows), pair)
+
+
+def lemma2_table(t: int) -> BoundTable:
+    """Bounds for a complex D with star(D) = D on even E_t:
+    f_0 = 1, f_t = 0, f_{t/2} = C(t-1, t/2), f_k >= C(t-1, k) below the
+    middle, f_k <= C(t-1, k) above it."""
+    return _bound_table(t, lambda k: binom(t - 1, k), "lower")
 
 
 def theorem3_table(t: int) -> BoundTable:
     """Bounds for the up-family A^v of a self-dual clutter on even E_t:
     f_0 = 0, f_t = 1, f_{t/2} = C(t-1, t/2), f_k <= C(t-1, k-1) below the
     middle, f_k >= C(t-1, k-1) above it."""
-    _check_even(t)
-    half = t // 2
-    rows = []
-    for k in range(t + 1):
-        b = binom(t - 1, k - 1)
-        if k == 0 or k == t or k == half:
-            rows.append(BoundRow(k, "exact", b, b, b))
-        elif k < half:
-            rows.append(BoundRow(k, "upper", None, 0, b))
-        else:
-            rows.append(BoundRow(k, "lower", None, b, binom(t, k)))
-    pair = tuple((k, binom(t, half - k)) for k in range(1, half))
-    return BoundTable(t, tuple(rows), pair)
+    return _bound_table(t, lambda k: binom(t - 1, k - 1), "upper")
 
 
 def _verify_against(table: BoundTable, fv: FVector) -> dict:

@@ -8,15 +8,21 @@ Conventions used throughout the package:
 A family has two representations, one per job:
 
   * sparse: a duplicate-free tuple of masks in ascending numeric order, so
-    equality of families is structural. Generators, clutters, blockers and
-    every family that is printed or returned (SetFamily.members) use it;
-    it works for any t <= 62.
+    equality of families is structural (SetFamily.members). Generators,
+    clutters and blockers are built from it; it works for any t <= 62.
   * dense: one Python int of 2^t bits whose bit S is set iff subset S is a
-    member (SetFamily.bitmap, UpFamily.bitmap). Operations that range over
-    all 2^t subsets (up- and down-closure, star, complements, minimal
-    members of an up-set, f-vectors of an up-family, the dense blocker)
-    work on it with word-parallel shift-or passes and need t <= 28; a
-    bitmap costs 2^t / 8 bytes, 32 MiB at t = 28.
+    member (SetFamily.bitmap). Operations that range over all 2^t subsets
+    (up- and down-closure, star, complements, minimal members of an
+    up-set, f-vectors of an up-family, the dense blocker) work on it with
+    word-parallel shift-or passes and need t <= 28; a bitmap costs
+    2^t / 8 bytes, 32 MiB at t = 28.
+
+A SetFamily holds the representation it was built from and derives the
+other once, on first read: `SetFamily(t, masks)` its bitmap, and
+`SetFamily.from_bitmap` (so `up_closure` and `star`) its members. Length,
+membership and f-vectors read whichever is held, so a dense family's
+members are decoded only when they are iterated, printed, compared or
+hashed.
 
 Subset inclusion is mask containment: a <= b as sets iff a & ~b == 0, which
 also implies a <= b numerically; canonical order is therefore compatible
@@ -259,18 +265,23 @@ class SetFamily:
     @classmethod
     def from_bitmap(cls, t: int, bm: int) -> "SetFamily":
         """Family of a dense bitmap in 0..2^(2^t) - 1, which it keeps as
-        its `bitmap`. `members_of` is ascending and duplicate-free, so it
-        is not sorted again. Subclass invariants are not checked: Clutter
-        overrides this.
+        its `bitmap`; `members` is decoded from it on first read.
+        Subclass invariants are not checked: Clutter overrides this.
         """
         check_ground_set(t)
         if bm < 0 or bm >> (1 << t):
             raise ValueError(f"member mask outside 2^[{t}]")
         fam = object.__new__(cls)
         object.__setattr__(fam, "t", t)
-        object.__setattr__(fam, "members", members_of(bm, t))
         fam.__dict__["bitmap"] = bm
         return fam
+
+    def __getattr__(self, name: str):
+        # only reached when `members` is not set: a family from from_bitmap
+        if name != "members" or "bitmap" not in self.__dict__:
+            raise AttributeError(name)
+        members = self.__dict__["members"] = members_of(self.bitmap, self.t)
+        return members
 
     @cached_property
     def bitmap(self) -> int:
@@ -290,13 +301,17 @@ class SetFamily:
         return v
 
     def __len__(self) -> int:
-        return len(self.members)
+        if "members" in self.__dict__:
+            return len(self.members)
+        return self.bitmap.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._member_set
+        if "members" in self.__dict__:
+            return mask in self._member_set
+        return mask >= 0 and bool(self.bitmap >> mask & 1)
 
     @cached_property
     def _member_set(self) -> frozenset[int]:
@@ -406,57 +421,16 @@ def max_elements(f: SetFamily) -> Clutter:
     return Clutter._antichain(f.t, [full ^ m for m in _minimalize(full ^ m for m in f)])
 
 
-class UpFamily:
-    """An increasing family A^v: all supersets within 2^[t] of the generators.
-
-    Generators are the inclusion-minimal members and are stored always.
-    The dense bitmap (t <= 28) is computed once per generating clutter; the
-    member tuple is decoded from it lazily, only when members are listed.
-    Instances are immutable values; the dense cache is write-once.
-    """
-
-    def __init__(self, generators: Clutter):
-        self.t = generators.t
-        self.generators = generators
-        self._dense: SetFamily | None = None
-
-    @property
-    def bitmap(self) -> int:
-        """Dense bitmap of the members (requires t <= 28)."""
-        return self.generators.upset_bitmap
-
-    def family(self) -> SetFamily:
-        """Dense member list (requires t <= 28)."""
-        if self._dense is None:
-            self._dense = SetFamily.from_bitmap(self.t, self.bitmap)
-        return self._dense
-
-    def size(self) -> int:
-        return self.bitmap.bit_count()
-
-    def __contains__(self, mask: int) -> bool:
-        return any(g & ~mask == 0 for g in self.generators.members)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UpFamily):
-            return NotImplemented
-        return self.t == other.t and self.generators == other.generators
-
-    def __hash__(self) -> int:
-        return hash(("UpFamily", self.t, self.generators.members))
-
-    def __repr__(self) -> str:
-        return f"UpFamily(generators={self.generators!r})"
-
-
-def principal_upset(mask: int, t: int) -> UpFamily:
+def principal_upset(mask: int, t: int) -> SetFamily:
     """The increasing family generated by the one-member clutter {mask}."""
-    return UpFamily(Clutter(t, (mask,)))
+    return up_closure(Clutter(t, (mask,)))
 
 
-def up_closure(a: Clutter) -> UpFamily:
-    """The increasing family generated by clutter a on its ground set."""
-    return UpFamily(a)
+def up_closure(a: Clutter) -> SetFamily:
+    """The increasing family a^v generated by clutter a on its ground set,
+    held as the bitmap `a.upset_bitmap` (t <= 28; GroundSetTooLarge
+    otherwise). Its members are decoded only when read."""
+    return SetFamily.from_bitmap(a.t, a.upset_bitmap)
 
 
 def blocker_dense(a: Clutter) -> Clutter:
@@ -526,4 +500,4 @@ def self_dual_criterion(a: Clutter) -> bool:
     is {{1,3},{2,3},{2,4}}. Use is_self_dual for the certified check.
     """
     require_nontrivial(a)
-    return up_closure(a).size() == 1 << (a.t - 1)
+    return len(up_closure(a)) == 1 << (a.t - 1)

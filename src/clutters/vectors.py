@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotAnFVector
-from .sets import SetFamily, UpFamily, layer_counts
+from .sets import SetFamily, layer_counts
 
 PASCAL_MAX_N = 62
 
@@ -78,12 +78,13 @@ class HVector:
         return self.values[k]
 
 
-def f_vector(f: SetFamily | UpFamily) -> FVector:
-    """Size histogram of the family's members. An up-family, or a family
-    that holds its bitmap (as from `SetFamily.from_bitmap`), is counted on
-    the bitmap (a computed `bitmap` is in the instance __dict__); any
-    other member by member, so it may have t > 28."""
-    if isinstance(f, UpFamily) or "bitmap" in f.__dict__:
+def f_vector(f: SetFamily) -> FVector:
+    """Size histogram of the family's members. A family that holds its
+    bitmap (from `SetFamily.from_bitmap`, `up_closure` or `star`, or once
+    its `bitmap` was computed; it is then in the instance __dict__) is
+    counted on the bitmap without decoding its members; any other member
+    by member, so it may have t > 28."""
+    if "bitmap" in f.__dict__:
         return FVector(f.t, layer_counts(f.bitmap, f.t))
     counts = [0] * (f.t + 1)
     for m in f.members:
@@ -114,5 +115,5 @@ def f_from_h(hv: HVector) -> FVector:
     return FVector(t, counts)
 
 
-def h_vector(f: SetFamily | UpFamily) -> HVector:
+def h_vector(f: SetFamily) -> HVector:
     return h_from_f(f_vector(f))

@@ -215,7 +215,7 @@ def verify_universe(t, result):
         checks = {
             "criterion_equivalence": lambda cl: is_self_dual(cl) == self_dual_criterion(cl),
         }
-    checks["appendix"] = lambda cl: check_appendix(up_closure(cl).family())["pass"]
+    checks["appendix"] = lambda cl: check_appendix(up_closure(cl))["pass"]
     report = {"t": t, "count": result.count}
     for name, check in checks.items():
         passed = sum(1 for cl in result.items if check(cl))

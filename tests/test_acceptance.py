@@ -112,7 +112,7 @@ def test_criterion_2_self_duality_certification(capsys, tmp_path):
     for sets, t in ((TRIANGLE, 3), (SINGLETON2, 3), (CONE5, 5)):
         cl = clutter(t, sets)
         assert blocker(cl) == cl
-        assert up_closure(cl).size() == 1 << (t - 1)
+        assert len(up_closure(cl)) == 1 << (t - 1)
         sd, crit = is_self_dual(cl), self_dual_criterion(cl)
         assert sd and crit and sd == crit
     assert time.time() - t0 < 1.0
@@ -125,7 +125,7 @@ def test_criterion_3_blocker_laws():
     def laws(cl):
         b = blocker(cl)
         assert blocker(b) == cl
-        assert up_closure(b).family() == star(up_closure(cl).family())
+        assert up_closure(b) == star(up_closure(cl))
 
     # exhaustive for t <= 4
     exhaustive = 0
@@ -199,7 +199,7 @@ def test_criterion_6_lemma2_at_scale(enum4, enum6):
     for res, expected in ((enum4, 12), (enum6, 2646)):
         passed = 0
         for cl in res.items:
-            cx = complement_complex(up_closure(cl).family())
+            cx = complement_complex(up_closure(cl))
             if verify_lemma2(cx)["pass"]:
                 passed += 1
         assert passed == expected
@@ -221,7 +221,7 @@ def test_criterion_7_appendix_suite(enum5):
             assert report["pass"], (t, i, report["checks"])
     assert enum5.count == 81
     for cl in enum5.items:
-        assert check_appendix(up_closure(cl).family())["pass"]
+        assert check_appendix(up_closure(cl))["pass"]
     elapsed = time.time() - t0
     assert elapsed < 60.0
     _stamp(7, "appendix checks pass on 5000 random families and all 81"

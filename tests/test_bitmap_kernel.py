@@ -24,10 +24,13 @@ from clutters import (
     blocker,
     blocker_berge,
     blocker_dense,
+    check_appendix,
     complement_complex,
     down_closure,
     f_vector,
     min_elements,
+    random_star_selfdual,
+    star,
     up_closure,
 )
 from clutters import sets
@@ -36,10 +39,12 @@ from clutters.sets import (
     bitmap_of,
     complement_bitmap,
     down_bitmap,
+    full_mask,
     layer_counts,
     members_of,
     minimal_bitmap,
     star_bitmap,
+    star_invariant,
     up_bitmap,
 )
 
@@ -80,6 +85,40 @@ def test_encode_decode_round_trip(tf):
     fam = SetFamily.from_bitmap(t, bm)
     assert fam == SetFamily(t, members)
     assert SetFamily(t, members).bitmap == bm
+
+
+@SETTINGS
+@given(st.integers(1, 8).flatmap(
+    lambda t: st.tuples(st.just(t), st.integers(0, (1 << (1 << t)) - 1))))
+def test_from_bitmap_is_the_family_of_its_bits(tb):
+    t, bm = tb
+    fam = SetFamily.from_bitmap(t, bm)
+    want = SetFamily(t, [m for m in range(1 << t) if bm >> m & 1])
+    masks = range(-1, (1 << t) + 1)
+    assert len(fam) == len(want)
+    assert [m in fam for m in masks] == [m in want for m in masks]
+    assert "members" not in fam.__dict__
+    assert fam == want and hash(fam) == hash(want)
+    assert "members" in fam.__dict__
+    assert [m in fam for m in masks] == [m in want for m in masks]
+
+
+def test_dense_families_decode_members_only_when_read():
+    # F* = F families at t = 20 and 16; counting and certifying read the bitmap
+    tri = up_closure(Clutter.from_sets(20, [[1, 2], [1, 3], [2, 3]]))
+    rnd = random_star_selfdual(16, 5).family
+    for fam in (tri, rnd, star(rnd)):
+        t = fam.t
+        assert len(fam) == 1 << (t - 1)
+        assert (0 in fam) != (full_mask(t) in fam)
+        assert -1 not in fam and 1 << t not in fam
+        assert f_vector(fam).total() == len(fam)
+        assert star_invariant(fam.bitmap, t)
+        StarSelfDualFamily(fam)
+        assert check_appendix(fam)["pass"]
+        assert "members" not in fam.__dict__
+        assert list(fam) == list(members_of(fam.bitmap, t))
+    assert star(rnd) == rnd
 
 
 def test_from_bitmap_checks_what_it_does_not_trust():
@@ -190,7 +229,7 @@ def test_blocker_is_an_involution(cl):
 def test_blocker_up_closure_is_star_of_up_closure(cl):
     b = blocker_dense(cl)
     assert up_closure(b).bitmap == star_bitmap(up_closure(cl).bitmap, cl.t)
-    assert up_closure(b).family().members == oracles.star(
+    assert up_closure(b).members == oracles.star(
         oracles.up_family(cl.members, cl.t), cl.t)
 
 
@@ -217,9 +256,9 @@ def test_complex_operations_match_tuple_loops(tf):
 @given(clutters(max_t=7))
 def test_complement_complex_matches_tuple_loop(cl):
     up = up_closure(cl)
-    assume(up.size() < 1 << cl.t)
+    assume(len(up) < 1 << cl.t)
     cx = complement_complex(up)
-    assert cx.family.members == oracles.rest_family(up.family().members, cl.t)
+    assert cx.family.members == oracles.rest_family(up.members, cl.t)
 
 
 @SETTINGS
@@ -256,4 +295,4 @@ def test_t24_blocker_and_f_vector_of_a_small_clutter():
                 f[k] += sign * math.comb(t - size, k - size)
     fv = f_vector(up_closure(a))
     assert fv.counts == tuple(f)
-    assert fv.total() == total == up_closure(a).size()
+    assert fv.total() == total == len(up_closure(a))

@@ -1,13 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from clutters import sets
+import clutters
+from clutters import random_star_selfdual, sets
 from clutters.cli import main
+from clutters.familyio import format_family
 
 TRIANGLE_T3 = "t: 3\n{1,2}\n{1,3}\n{2,3}\n"
 TRIANGLE_T4 = "t: 4\n{1,2}\n{1,3}\n{2,3}\n"
@@ -222,6 +228,18 @@ def test_identities_requires_t_with_random(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--random", "--t", "4"), "give a family file or --random, not both"),
+    (("--t", "8"), "--t requires --random"),
+])
+def test_identities_rejects_conflicting_input(capsys, write, flags, message):
+    path = write("f10.fam", format_family(random_star_selfdual(10, 1).family))
+    code, out, err = run(capsys, "identities", path, *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_identities_random_rejects_n_below_one(capsys, n):
     code, out, err = run(capsys, "identities", "--random", "--t", "4", "--n", n)
@@ -333,6 +351,24 @@ def test_defects_keep_their_traceback(monkeypatch, write):
     monkeypatch.setattr(sets, "blocker", broken)
     with pytest.raises(RuntimeError, match="kernel defect"):
         main(["blocker", write("tri.fam", TRIANGLE_T3)])
+
+
+def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
+    # about 140 KB of JSON: more than the pipe holds, so writing outlasts the reader
+    path = tmp_path / "f12.fam"
+    path.write_text(format_family(random_star_selfdual(12, 4).family))
+    src = str(Path(clutters.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "clutters.cli", "star", str(path), "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 141
+    assert err == b""
 
 
 def test_output_is_deterministic(capsys, write):

@@ -213,7 +213,7 @@ def test_star_selfdual_forces_empty_and_full_slots():
 def test_complex_side_bijection_with_clutters(enum4):
     # complement of each self-dual up-family is a star-self-dual complex
     for cl in enum4.items:
-        up = up_closure(cl).family()
+        up = up_closure(cl)
         rest = SetFamily(4, tuple(m for m in range(16) if m not in up))
         c = Complex(rest)
         assert is_star_self_dual(c)

@@ -106,7 +106,7 @@ def test_no_duplicates_and_certified(enum5):
     assert len(set(enum5.items)) == enum5.count
     for cl in enum5.items:
         assert blocker_dense(cl) == cl
-        assert up_closure(cl).size() == 16
+        assert len(up_closure(cl)) == 16
 
 
 def test_closed_under_relabeling(enum5):
@@ -154,7 +154,7 @@ def test_complex_enumeration_t3_t4(enum4):
 
 def test_complement_complex_roundtrip(enum4):
     for cl in enum4.items:
-        up = up_closure(cl).family()
+        up = up_closure(cl)
         cx = complement_complex(up)
         assert len(cx.family) + len(up) == 16
         assert not set(cx.family.members) & set(up.members)
@@ -217,7 +217,7 @@ def test_random_self_dual_clutters_beyond_t6(cl):
     if t % 2 == 0:
         assert verify_theorem3(cl)["pass"]
         assert verify_lemma2(complement_complex(up_closure(cl)))["pass"]
-    checks = check_appendix(up_closure(cl).family())["checks"]
+    checks = check_appendix(up_closure(cl))["checks"]
     assert {k for k, v in checks.items() if v == "n/a"} == not_applicable(t)
     assert all(v in ("pass", "n/a") for v in checks.values()), checks
     assert all(family_report(cl)["identities"].values())

@@ -87,7 +87,7 @@ def test_check_appendix_rejects_non_star_family():
 
 
 def test_appendix_singleton_upset_t3():
-    fam = up_closure(clutter(3, SINGLETON2)).family()
+    fam = up_closure(clutter(3, SINGLETON2))
     assert h_vector(fam).values == (0, 1, 0, 0)
     report = check_appendix(fam)
     assert report["pass"]
@@ -99,7 +99,7 @@ def test_appendix_singleton_upset_t3():
 
 
 def test_appendix_triangle_upset_t4():
-    fam = up_closure(clutter(4, TRIANGLE)).family()
+    fam = up_closure(clutter(4, TRIANGLE))
     hv = h_vector(fam)
     assert hv.values == (0, 0, 3, -2, 0)
     assert hv[4] == 0
@@ -117,7 +117,7 @@ def test_middle_relations_not_applicable_at_t6():
     # at t = 2 mod 4 the middle-index relations genuinely fail, so the
     # suite must not apply them: h = (0,0,3,-2,0,0,0) gives
     # h_3 + (1/2) sum C(k,3) h_k = -2, not 0
-    fam = up_closure(clutter(6, TRIANGLE)).family()
+    fam = up_closure(clutter(6, TRIANGLE))
     hv = h_vector(fam)
     assert hv.values == (0, 0, 3, -2, 0, 0, 0)
     lhs2 = 2 * hv[3] + sum(binom(k, 3) * hv[k] for k in range(4, 6))
@@ -159,14 +159,14 @@ def test_appendix_named_check_applicability():
 
 def test_ht_vanishes_for_selfdual_upfamilies_even_t(enum4):
     for cl in enum4.items:
-        fam = up_closure(cl).family()
+        fam = up_closure(cl)
         assert h_vector(fam)[4] == 0
         assert check_appendix(fam)["pass"]
 
 
 def test_odd_sign_correction_matters_at_t3():
     # the t = 3 instances only pass with the (-1)^((t-1)/2) factor
-    fam = up_closure(clutter(3, SINGLETON2)).family()
+    fam = up_closure(clutter(3, SINGLETON2))
     fv = f_vector(fam)
     hv = h_vector(fam)
     lo = fv[0] - fv[1]

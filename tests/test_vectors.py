@@ -45,7 +45,7 @@ def random_family(rng, t):
 
 
 def upfam(t, sets):
-    return up_closure(clutter(t, sets)).family()
+    return up_closure(clutter(t, sets))
 
 
 def test_binom_against_math_comb():
@@ -101,7 +101,7 @@ def _subsets(elems):
 def test_principal_singleton_upset_vectors():
     # {{a}}^v has f = (0, C(t-1,0), ..., C(t-1,t-1)) and h = (0,1,0,...,0)
     for t in (3, 4, 6, 7):
-        fam = up_closure(Clutter.from_sets(t, [[2]])).family()
+        fam = up_closure(Clutter.from_sets(t, [[2]]))
         fv = f_vector(fam)
         assert fv.counts == (0,) + tuple(binom(t - 1, k - 1) for k in range(1, t + 1))
         assert h_from_f(fv).values == (0, 1) + (0,) * (t - 1)
@@ -194,7 +194,7 @@ def identities(fam):
 
 
 def test_check_h_identities_examples():
-    rep = identities(up_closure(clutter(5, CONE5)).family())
+    rep = identities(up_closure(clutter(5, CONE5)))
     assert all(rep.values())
     full = SetFamily(4, tuple(range(16)))
     assert h_vector(full).values == (1, 0, 0, 0, 0)
@@ -209,7 +209,7 @@ def test_check_h_identities_random():
 
 
 def test_check_star_relations_selfdual_family():
-    fam = up_closure(clutter(3, SINGLETON2)).family()
+    fam = up_closure(clutter(3, SINGLETON2))
     assert star(fam) == fam
     assert all(identities(fam).values())
 
@@ -237,7 +237,7 @@ def test_eq19_delta_instance_is_separately_checked():
 
 
 def test_family_report_shape():
-    rep = family_report(up_closure(clutter(3, TRIANGLE)).family())
+    rep = family_report(up_closure(clutter(3, TRIANGLE)))
     assert rep["t"] == 3
     assert rep["f"] == [0, 0, 3, 1]
     assert rep["h"] == [0, 0, 3, -2]
