@@ -9,7 +9,6 @@ from .complexes import (
     alexander_dual,
     check_star_selfdual_facts,
     down_closure,
-    facets,
     is_alexander_self_dual,
     is_star_self_dual,
 )
@@ -28,7 +27,6 @@ from .errors import (
     NotAnFVector,
     NotSelfDual,
     NotStarSelfDual,
-    OddGroundSet,
     TrivialClutter,
 )
 from .identities import StarSelfDualFamily, check_appendix, family_report, random_star_selfdual

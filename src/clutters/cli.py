@@ -178,11 +178,11 @@ def cmd_bounds(args) -> int:
         for r in table.rows:
             exact = str(r.exact) if r.exact is not None else "-"
             print(f"{r.k:>3} {r.kind:>6} {exact:>8} {r.lower:>8} {r.upper:>8}")
-        half = table.t // 2
+        t, m = table.t, (table.t + 1) // 2
         pairs = "; ".join(
-            f"f_{half - off}+f_{half + off} = {want}" for off, want in table.pair_sums
+            f"f_{m - off}+f_{t - m + off} = {want}" for off, want in table.pair_sums
         )
-        print(f"pair sums: {pairs}")
+        print(f"pair sums: {pairs or 'none'}")
     return 0
 
 

@@ -7,8 +7,9 @@ notions of self-duality appear here:
   * Alexander self-duality, D = dual(D), taken relative to the vertex set
     V(D) only.
 
-Complexes are dense objects: validation, closure and both duals run on
-the family's 2^t-bit bitmap, so every complex needs t <= 28.
+Complexes are dense objects: validation, closure, vertices, dimension
+and both duals run on the family's 2^t-bit bitmap, so every complex
+needs t <= 28.
 
 The Alexander dual is {V - F : F subset of V, F not a face}. The defining
 condition presumes V(dual) = V(D); when that fails (including the case of
@@ -26,6 +27,7 @@ from .sets import (
     Clutter,
     SetFamily,
     down_bitmap,
+    elements_of,
     iter_bits,
     max_elements,
     star_bitmap,
@@ -50,7 +52,8 @@ class Complex:
             faces = f._member_set
             m, s = next((m, m ^ 1 << i) for m in f.members for i in iter_bits(m)
                         if m ^ 1 << i not in faces)
-            raise ValueError(f"not downward closed: face {m:b} lacks subset {s:b}")
+            raise ValueError(f"not downward closed: face {elements_of(m)}"
+                             f" lacks subset {elements_of(s)}")
 
     @property
     def t(self) -> int:
@@ -59,7 +62,7 @@ class Complex:
     @cached_property
     def vertex_mask(self) -> int:
         """V(D): union of all faces."""
-        return self.family.vertex_mask()
+        return _vertices(self.family.bitmap, self.t)
 
     @cached_property
     def facets(self) -> Clutter:
@@ -69,21 +72,22 @@ class Complex:
     @cached_property
     def dim_size(self) -> int:
         """d(D): largest face size (0 for the complex {0})."""
-        return max(m.bit_count() for m in self.family.members)
+        return max(k for k, n in enumerate(f_vector(self.family).counts) if n)
 
     def __len__(self) -> int:
         return len(self.family)
 
 
+def _vertices(bm: int, t: int) -> int:
+    """Union of the members of a down-closed bitmap: its singleton bits."""
+    return sum(1 << i for i in range(t) if bm >> (1 << i) & 1)
+
+
 def down_closure(f: SetFamily) -> Complex:
     """Smallest complex containing every member of f (t <= 28)."""
-    if not f.members:
+    if not len(f):
         raise ValueError("cannot build a complex from an empty family")
     return Complex(SetFamily.from_bitmap(f.t, down_bitmap(f.bitmap, f.t)))
-
-
-def facets(c: Complex) -> Clutter:
-    return c.facets
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ class AlexanderDual:
     vertex_mismatch: bool
 
     def as_complex(self) -> Complex:
-        if not self.family.members:
+        if not len(self.family):
             raise ValueError("dual family is empty, not a complex")
         return Complex(self.family)
 
@@ -117,8 +121,7 @@ def alexander_dual(c: Complex) -> AlexanderDual:
         raise EmptyVertexSet("the complex {0} has no vertices to dualize over")
     w = v ^ ((1 << t) - 1)
     dual = star_bitmap(c.family.bitmap << w, t) & down_bitmap(1 << v, t)
-    fam = SetFamily.from_bitmap(t, dual)
-    return AlexanderDual(fam, fam.vertex_mask() != v)
+    return AlexanderDual(SetFamily.from_bitmap(t, dual), _vertices(dual, t) != v)
 
 
 def is_alexander_self_dual(c: Complex) -> bool:

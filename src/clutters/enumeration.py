@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .complexes import Complex, is_star_self_dual
 from .errors import GroundSetTooLarge, NotSelfDual, NotStarSelfDual
-from .identities import appendix_report, star_fixed, verdict
+from .identities import appendix_report
 from .kks import _verify_against, lemma2_table, theorem3_table
 from .sets import (
     Clutter,
@@ -125,14 +125,12 @@ def verify_universe(t: int, result: EnumerationResult | None = None) -> dict:
     Each clutter A is certified once (`Clutter.self_dual`, cached from
     the search; NotSelfDual otherwise). The rest reads only the
     f-vector of A^v, so it runs once per distinct f-vector (2,646
-    clutters at t = 6 have 7), counted with its multiplicity. Even
-    t >= 4: theorem3 bounds, lemma2 bounds on the complement complex
-    2^[t] - A^v (f-vector C(t,k) - f_k) and the appendix identities. Odd
-    t and t = 2, where the bound tables are undefined: agreement of the
-    blocker test with the cardinality criterion #A^v = 2^(t-1), plus the
-    appendix identities. Failures are report content, not errors. A
-    precomputed enumeration on E_t (ValueError otherwise) may be passed
-    to avoid repeating the search.
+    clutters at t = 6 have 7), counted with its multiplicity: theorem3
+    bounds, lemma2 bounds on the complement complex 2^[t] - A^v
+    (f-vector C(t,k) - f_k) and the appendix identities, at every t.
+    Failures are report content, not errors. A precomputed enumeration
+    on E_t (ValueError otherwise) may be passed to avoid repeating the
+    search.
     """
     res = result if result is not None else enumerate_self_dual(t)
     if res.t != t or any(cl.t != t for cl in res.items):
@@ -142,18 +140,13 @@ def verify_universe(t: int, result: EnumerationResult | None = None) -> dict:
         if not cl.self_dual:
             raise NotSelfDual(f"enumerated {cl!r} does not equal its blocker")
         tally[tuple(layer_counts(cl.upset_bitmap, t))] += 1
-    bounds = t % 2 == 0 and t >= 4
-    names = ("theorem3", "lemma2") if bounds else ("criterion_equivalence",)
-    passed = dict.fromkeys(names + ("appendix",), 0)
+    t3, l2 = theorem3_table(t), lemma2_table(t)
+    passed = dict.fromkeys(("theorem3", "lemma2", "appendix"), 0)
     for f, n in tally.items():
         fv = FVector(t, f)
-        if bounds:
-            rest = FVector(t, tuple(binom(t, k) - fk for k, fk in enumerate(f)))
-            passed["theorem3"] += n * _verify_against(theorem3_table(t), fv)["pass"]
-            passed["lemma2"] += n * _verify_against(lemma2_table(t), rest)["pass"]
-        else:
-            ok = verdict("star_count", star_fixed(fv)) == "pass"
-            passed["criterion_equivalence"] += n * ok
+        rest = FVector(t, tuple(binom(t, k) - fk for k, fk in enumerate(f)))
+        passed["theorem3"] += n * _verify_against(t3, fv)["pass"]
+        passed["lemma2"] += n * _verify_against(l2, rest)["pass"]
         passed["appendix"] += n * appendix_report(fv)["pass"]
     report: dict = {"t": t, "count": res.count}
     for name, ok in passed.items():

@@ -3,7 +3,9 @@
 Convention: the package raises `ValueError` (or a subclass) only for
 input it rejects, and `RuntimeError` (`InconsistentResult`) for a defect.
 The CLI relies on it: `NotSelfDual` and `NotStarSelfDual` exit 1, any
-other `ValueError` exits 2, everything else keeps its traceback.
+other `ValueError` exits 2, everything else keeps its traceback. A
+ground set outside a command's range is a `ValueError` too (the bound
+tables take 1 <= t <= 28, at either parity).
 """
 
 
@@ -29,10 +31,6 @@ class NotStarSelfDual(ValueError):
 
 class NotSelfDual(ValueError):
     """Operation requires a self-dual clutter (blocker equals the clutter)."""
-
-
-class OddGroundSet(ValueError):
-    """Operation is defined only for even ground-set cardinality."""
 
 
 class InvalidLevel(ValueError):

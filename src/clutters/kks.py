@@ -11,13 +11,19 @@ C(a_i, i-1) gives the minimum possible number of (k-1)-sets below m k-sets
 in a complex (lower shadow); replacing by C(a_i, i+1) gives the maximum
 possible number of (k+1)-faces on top of them (upper shadow).
 
-Two bound tables are derived from these inequalities for even t, labeled
-by the side of the complementation bijection they live on:
+Two bound tables hold for every t, labeled by the side of the
+complementation bijection they live on:
 
   * lemma2_table: complexes D with star(D) = D; bound value C(t-1, k),
     a lower bound below the middle index and an upper bound above it;
   * theorem3_table: up-families A^v of self-dual clutters; bound value
     C(t-1, k-1), an upper bound below the middle and a lower bound above.
+
+The paper proves them for even t; the argument needs no parity. For
+2k < t the k-layer of F = A^v is intersecting: disjoint S, T in F would
+put E_t - S, a superset of T, in F beside S, which F* = F forbids. So
+Erdos-Ko-Rado gives f_k <= C(t-1, k-1), and f_k = C(t,k) - f_(t-k)
+(eq28) gives the lower bound above the middle.
 
 The tables are complementary: at every index the theorem3 bound equals
 C(t,k) minus the lemma2 bound, with the inequality direction flipped.
@@ -31,8 +37,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .complexes import Complex, is_star_self_dual
-from .errors import InvalidLevel, NotSelfDual, NotStarSelfDual, OddGroundSet
-from .sets import Clutter, is_self_dual, up_closure
+from .errors import InvalidLevel, NotSelfDual, NotStarSelfDual
+from .sets import DENSE_MAX_T, Clutter, is_self_dual, up_closure
 from .vectors import FVector, binom, f_vector
 
 # binomial columns used by the greedy search, grown on demand:
@@ -110,8 +116,8 @@ class BoundRow:
 
 @dataclass(frozen=True)
 class BoundTable:
-    """Per-index constraints plus the mirror-pair sums
-    f_{t/2-k} + f_{t/2+k} = C(t, t/2-k)."""
+    """Per-index constraints plus the mirror-pair sums: with m = ceil(t/2),
+    offset o = 1..m-1 requires f_(m-o) + f_(t-m+o) = C(t, m-o)."""
 
     t: int
     rows: tuple[BoundRow, ...]
@@ -121,49 +127,43 @@ class BoundTable:
         return self.rows[k]
 
 
-def _check_even(t: int) -> None:
-    if t % 2:
-        raise OddGroundSet(f"bound tables need even t, got {t}")
-    if not 4 <= t <= 28:
-        raise ValueError(f"bound tables defined for even 4 <= t <= 28, got {t}")
-
-
 def _bound_table(t: int, bound: Callable[[int], int], below: str) -> BoundTable:
-    """The table with bound value bound(k) on even E_t: exact at k = 0,
-    t/2 and t, of kind `below` ("lower" or "upper") below the middle and
-    of the other kind above it."""
-    _check_even(t)
-    half = t // 2
+    """The table with bound value bound(k) on E_t, 1 <= t <= 28: exact at
+    k = 0, k = t and 2k = t, of kind `below` ("lower" or "upper") for
+    2k < t and of the other kind for 2k > t."""
+    if not 1 <= t <= DENSE_MAX_T:
+        raise ValueError(f"bound tables defined for 1 <= t <= {DENSE_MAX_T}, got {t}")
     rows = []
     for k in range(t + 1):
         b = bound(k)
-        if k == 0 or k == t or k == half:
+        if k in (0, t) or 2 * k == t:
             rows.append(BoundRow(k, "exact", b, b, b))
-        elif (k < half) == (below == "lower"):
+        elif (2 * k < t) == (below == "lower"):
             rows.append(BoundRow(k, "lower", None, b, binom(t, k)))
         else:
             rows.append(BoundRow(k, "upper", None, 0, b))
-    pair = tuple((k, binom(t, half - k)) for k in range(1, half))
+    m = (t + 1) // 2
+    pair = tuple((o, binom(t, m - o)) for o in range(1, m))
     return BoundTable(t, tuple(rows), pair)
 
 
 def lemma2_table(t: int) -> BoundTable:
-    """Bounds for a complex D with star(D) = D on even E_t:
-    f_0 = 1, f_t = 0, f_{t/2} = C(t-1, t/2), f_k >= C(t-1, k) below the
-    middle, f_k <= C(t-1, k) above it."""
+    """Bounds for a complex D with star(D) = D on E_t: f_0 = 1, f_t = 0,
+    f_(t/2) = C(t-1, t/2) at even t, f_k >= C(t-1, k) for 2k < t and
+    f_k <= C(t-1, k) for 2k > t."""
     return _bound_table(t, lambda k: binom(t - 1, k), "lower")
 
 
 def theorem3_table(t: int) -> BoundTable:
-    """Bounds for the up-family A^v of a self-dual clutter on even E_t:
-    f_0 = 0, f_t = 1, f_{t/2} = C(t-1, t/2), f_k <= C(t-1, k-1) below the
-    middle, f_k >= C(t-1, k-1) above it."""
+    """Bounds for the up-family A^v of a self-dual clutter on E_t:
+    f_0 = 0, f_t = 1, f_(t/2) = C(t-1, t/2) at even t,
+    f_k <= C(t-1, k-1) for 2k < t and f_k >= C(t-1, k-1) for 2k > t."""
     return _bound_table(t, lambda k: binom(t - 1, k - 1), "upper")
 
 
 def _verify_against(table: BoundTable, fv: FVector) -> dict:
     t = table.t
-    half = t // 2
+    m = (t + 1) // 2
     rows = []
     ok_all = True
     for row in table.rows:
@@ -185,7 +185,7 @@ def _verify_against(table: BoundTable, fv: FVector) -> dict:
         )
     pairs = []
     for off, want in table.pair_sums:
-        got = fv[half - off] + fv[half + off]
+        got = fv[m - off] + fv[t - m + off]
         ok = got == want
         ok_all &= ok
         pairs.append({"offset": off, "expected": want, "actual": got, "ok": ok})
@@ -200,8 +200,6 @@ def verify_theorem3(a: Clutter) -> dict:
     on bitmaps, or Berge where `blocker` would take Berge), never taken
     from the caller, so the report is self-certifying.
     """
-    if a.t % 2:
-        raise OddGroundSet(f"theorem3 bounds need even t, got {a.t}")
     if not is_self_dual(a):
         raise NotSelfDual("clutter does not equal its blocker")
     fv = f_vector(up_closure(a))
@@ -213,8 +211,6 @@ def verify_theorem3(a: Clutter) -> dict:
 def verify_lemma2(c: Complex) -> dict:
     """Check the f-vector of complex c against lemma2_table(t);
     star self-duality is recomputed, not trusted."""
-    if c.t % 2:
-        raise OddGroundSet(f"lemma2 bounds need even t, got {c.t}")
     if not is_star_self_dual(c):
         raise NotStarSelfDual("complex does not equal its star")
     fv = f_vector(c.family)

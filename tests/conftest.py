@@ -14,6 +14,8 @@ from clutters.sets import minimal_bitmap, star_bitmap, up_bitmap
 TRIANGLE = ((1, 2), (1, 3), (2, 3))
 SINGLETON2 = ((2,),)
 CONE5 = ((1, 2, 3, 4), (1, 5), (2, 5), (3, 5), (4, 5))
+# the seven lines of the Fano plane, a self-dual clutter on E_7
+FANO = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6))
 
 # up-family of CONE5 on E_5, all sixteen members
 CONE5_UPSET = (

@@ -5,8 +5,10 @@ These are the loops over all 2^t subsets that the package used before
 its dense operations moved to 2^t-bit bitmaps, the direct antichain
 search on E_t that the enumeration used before it went through E_(t-1),
 and the member-at-a-time loops that wrote families before `familyio`
-wrote them from half-word tables. They work on plain mask tuples and
-ints, share no code with `clutters`, and are meant for small t only.
+wrote them from half-word tables; and `low_layers_intersect`, the fact
+behind the bound tables at every t, tested on masks. They
+work on plain mask tuples and ints, share no code with `clutters`, and
+are meant for small t only.
 
 The exception is `verify_universe`: the clutter-by-clutter universe
 check, built from the package's self-certifying per-family verifiers,
@@ -19,8 +21,6 @@ import random
 from clutters import (
     check_appendix,
     complement_complex,
-    is_self_dual,
-    self_dual_criterion,
     up_closure,
     verify_lemma2,
     verify_theorem3,
@@ -202,20 +202,33 @@ def random_star_selfdual(t, seed):
     return tuple(sorted(members))
 
 
+def low_layers_intersect(members, t):
+    """Every k-layer of the family with 0 < 2k < t is pairwise
+    intersecting. meets[i] has bit j set iff the j-th set of the layer
+    holds element i, so the sets meeting S are the OR of meets[i] over
+    i in S, and the layer is intersecting iff that is all of it for
+    every S."""
+    for k in range(1, (t + 1) // 2):
+        layer = [m for m in members if m.bit_count() == k]
+        meets = [sum(1 << j for j, m in enumerate(layer) if m >> i & 1) for i in range(t)]
+        everyone = (1 << len(layer)) - 1
+        for s in layer:
+            hit = 0
+            for i in elements(s):
+                hit |= meets[i - 1]
+            if hit != everyone:
+                return False
+    return True
+
+
 def verify_universe(t, result):
-    """Theorem3, lemma2 on the complement complex and the appendix per
-    clutter at even t >= 4; else the blocker test against the
-    cardinality criterion, and the appendix."""
-    if t % 2 == 0 and t >= 4:
-        checks = {
-            "theorem3": lambda cl: verify_theorem3(cl)["pass"],
-            "lemma2": lambda cl: verify_lemma2(complement_complex(up_closure(cl)))["pass"],
-        }
-    else:
-        checks = {
-            "criterion_equivalence": lambda cl: is_self_dual(cl) == self_dual_criterion(cl),
-        }
-    checks["appendix"] = lambda cl: check_appendix(up_closure(cl))["pass"]
+    """Theorem3, lemma2 on the complement complex and the appendix, per
+    clutter."""
+    checks = {
+        "theorem3": lambda cl: verify_theorem3(cl)["pass"],
+        "lemma2": lambda cl: verify_lemma2(complement_complex(up_closure(cl)))["pass"],
+        "appendix": lambda cl: check_appendix(up_closure(cl))["pass"],
+    }
     report = {"t": t, "count": result.count}
     for name, check in checks.items():
         passed = sum(1 for cl in result.items if check(cl))

@@ -166,9 +166,23 @@ def test_bounds_json_schema(capsys):
     assert set(payload["rows"][0]) == {"k", "exact", "lower", "upper"}
 
 
-def test_bounds_rejects_odd_t(capsys):
-    code, _, err = run(capsys, "bounds", "--t", "5")
+def test_bounds_odd_and_small_t(capsys):
+    code, out, _ = run(capsys, "bounds", "--t", "5")
+    assert code == 0
+    assert out.splitlines()[-1] == "pair sums: f_2+f_3 = 10; f_1+f_4 = 5"
+    for t in ("1", "2"):
+        code, out, _ = run(capsys, "bounds", "--t", t)
+        assert code == 0
+        assert out.splitlines()[-1] == "pair sums: none"
+        assert all(line == line.rstrip() for line in out.splitlines())
+
+
+@pytest.mark.parametrize("t", ["0", "29", "-3"])
+def test_bounds_rejects_t_out_of_range(capsys, t):
+    code, out, err = run(capsys, "bounds", "--t", t)
     assert code == 2
+    assert out == ""
+    assert err == f"error: bound tables defined for 1 <= t <= 28, got {t}\n"
 
 
 def test_verify_theorem3_pass_and_fail(capsys, write):
@@ -178,8 +192,9 @@ def test_verify_theorem3_pass_and_fail(capsys, write):
     code, _, err = run(capsys, "verify-theorem3", write("p.fam", PATH_T4))
     assert code == 1
     assert "blocker" in err
-    code, _, err = run(capsys, "verify-theorem3", write("o.fam", TRIANGLE_T3))
-    assert code == 2  # odd ground set
+    code, out, _ = run(capsys, "verify-theorem3", write("o.fam", TRIANGLE_T3))
+    assert code == 0  # the bounds hold at odd t too
+    assert out.rstrip().endswith("result: PASS")
 
 
 def test_verify_lemma2_full_and_facet_files(capsys, write):
@@ -193,6 +208,14 @@ def test_verify_lemma2_rejects_non_complex(capsys, write):
     code, _, err = run(capsys, "verify-lemma2", write("nc.fam", "t: 3\n{1,2}\n"))
     assert code == 2
     assert "downward" in err
+
+
+def test_verify_lemma2_names_the_missing_subset(capsys, write):
+    path = write("nc.fam", "t: 4\n{}\n{1}\n{1,3}\n")
+    code, out, err = run(capsys, "verify-lemma2", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: not downward closed: face (1, 3) lacks subset (3,)\n"
 
 
 def test_identities_file(capsys, write):
@@ -312,14 +335,16 @@ def test_missing_file(capsys):
 
 
 @pytest.mark.parametrize("command", ["verify-theorem3", "verify-lemma2"])
-def test_verify_commands_reject_t2(capsys, write, command):
-    # the bound tables are defined for even 4 <= t <= 28 only
+def test_verify_commands_at_t2(capsys, write, command):
+    # the bound tables are defined for 1 <= t <= 28; t = 2 has no pair sums
     text = "t: 2\n{1}\n" if command == "verify-theorem3" else "t: 2\n{}\n{2}\n"
-    path = write("t2.fam", text)
-    code, out, err = run(capsys, command, path)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {path}: bound tables defined for even 4 <= t <= 28, got 2\n"
+    code, out, err = run(capsys, command, write("t2.fam", text))
+    assert code == 0
+    assert err == ""
+    assert "pair offset" not in out
+    assert out.endswith("  2  exact        1        1        0  yes\nresult: PASS\n"
+                        if command == "verify-theorem3" else
+                        "  2  exact        0        0        0  yes\nresult: PASS\n")
 
 
 def test_non_utf8_file_exits_2(capsys, tmp_path):

@@ -11,8 +11,8 @@ from clutters import (
     SetFamily,
     alexander_dual,
     check_star_selfdual_facts,
+    complement_complex,
     down_closure,
-    facets,
     is_alexander_self_dual,
     is_star_self_dual,
     min_elements,
@@ -66,9 +66,9 @@ def test_down_closure_idempotent_and_membership():
 
 
 def test_facets_examples():
-    assert facets(complex_of(4, COMPLEX_T4)) == clutter(4, [[1, 2], [1, 3], [2, 3], [4]])
-    assert facets(complex_of(4, SIMPLEX_T4)) == clutter(4, [[2, 3, 4]])
-    assert facets(Complex(SetFamily(3, (0,)))) == Clutter(3, (0,))
+    assert complex_of(4, COMPLEX_T4).facets == clutter(4, [[1, 2], [1, 3], [2, 3], [4]])
+    assert complex_of(4, SIMPLEX_T4).facets == clutter(4, [[2, 3, 4]])
+    assert Complex(SetFamily(3, (0,))).facets == Clutter(3, (0,))
 
 
 def test_facets_roundtrip():
@@ -77,7 +77,7 @@ def test_facets_roundtrip():
         t = rng.randint(1, 7)
         gens = SetFamily(t, tuple(rng.randrange(1 << t) for _ in range(rng.randint(1, 6))))
         c = down_closure(gens)
-        assert down_closure(SetFamily(t, facets(c).members)).family == c.family
+        assert down_closure(SetFamily(t, c.facets.members)).family == c.family
 
 
 def test_dim_and_vertex_cache():
@@ -85,6 +85,17 @@ def test_dim_and_vertex_cache():
     assert c.vertex_mask == full_mask(4)
     assert c.dim_size == 2
     assert Complex(SetFamily(3, (0,))).dim_size == 0
+
+
+def test_vertices_and_dimension_read_the_bitmap():
+    # the complement complex of the triangle's up-family at t = 16
+    # (faces meeting {1,2,3} at most once), which is its own Alexander dual
+    c = complement_complex(up_closure(clutter(16, TRIANGLE)))
+    d = alexander_dual(c)
+    assert c.vertex_mask == full_mask(16) and c.dim_size == 14
+    assert not d.vertex_mismatch and d.family.bitmap == c.family.bitmap
+    for fam in (c.family, d.family):
+        assert "members" not in fam.__dict__
 
 
 def test_alexander_dual_self_dual_example():

@@ -164,17 +164,19 @@ def test_verify_universe_t3():
     report = verify_universe(3)
     assert report["pass"]
     assert report["count"] == 4
-    assert report["criterion_equivalence"] == {"passed": 4, "failed": 0}
+    assert report["theorem3"] == {"passed": 4, "failed": 0}
+    assert report["lemma2"] == {"passed": 4, "failed": 0}
     assert report["appendix"] == {"passed": 4, "failed": 0}
 
 
-def test_verify_universe_t2_skips_the_undefined_bound_tables():
-    # the bound tables need even t >= 4; t = 2 runs the odd-t checks
+def test_verify_universe_t2():
+    # the bound tables hold at every t, so t = 2 runs the same checks as t = 4
     report = verify_universe(2)
     assert report["pass"]
     assert report["count"] == 2
-    assert report["criterion_equivalence"] == {"passed": 2, "failed": 0}
-    assert "theorem3" not in report
+    assert report["theorem3"] == {"passed": 2, "failed": 0}
+    assert report["lemma2"] == {"passed": 2, "failed": 0}
+    assert set(report) == {"t", "count", "theorem3", "lemma2", "appendix", "pass"}
 
 
 def test_verify_universe_t4(enum4):
@@ -214,13 +216,29 @@ def test_random_self_dual_clutters_beyond_t6(cl):
     if len(cl) > 1:
         part = Clutter(t, cl.members[1:])
         assert not is_self_dual(part) and blocker_berge(part) != part
-    if t % 2 == 0:
-        assert verify_theorem3(cl)["pass"]
-        assert verify_lemma2(complement_complex(up_closure(cl)))["pass"]
+    assert verify_theorem3(cl)["pass"]
+    assert verify_lemma2(complement_complex(up_closure(cl)))["pass"]
     checks = check_appendix(up_closure(cl))["checks"]
     assert {k for k, v in checks.items() if v == "n/a"} == not_applicable(t)
     assert all(v in ("pass", "n/a") for v in checks.values()), checks
     assert all(family_report(cl)["identities"].values())
+
+
+def test_low_layers_intersect_on_enumerations(enum4, enum5, enum6):
+    # the reason the bound tables hold at every t: below the middle, each
+    # layer of A^v is an intersecting family (Erdos-Ko-Rado applies)
+    results = {4: enum4, 5: enum5, 6: enum6}
+    for t in range(1, 7):
+        for cl in (results.get(t) or enumerate_self_dual(t)).items:
+            assert oracles.low_layers_intersect(oracles.up_family(cl.members, t), t)
+    # {1} and {2} are disjoint 1-sets of the up-family of {{1}, {2}} on E_5
+    assert not oracles.low_layers_intersect(oracles.up_family((1, 2), 5), 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(self_dual_clutters())
+def test_low_layers_intersect_beyond_t6(cl):
+    assert oracles.low_layers_intersect(oracles.up_family(cl.members, cl.t), cl.t)
 
 
 def test_criterion_agrees_on_enumerated(enum5):

@@ -10,7 +10,6 @@ from clutters import (
     InvalidLevel,
     NotSelfDual,
     NotStarSelfDual,
-    OddGroundSet,
     SetFamily,
     cascade,
     lemma2_table,
@@ -22,7 +21,7 @@ from clutters import (
 )
 from clutters.vectors import binom
 
-from conftest import COMPLEX_T4, SINGLETON2, TRIANGLE, clutter, family
+from conftest import COMPLEX_T4, FANO, SINGLETON2, TRIANGLE, clutter, family
 
 
 def lower_shadow_size(masks):
@@ -191,10 +190,50 @@ def test_theorem3_table_t4():
 
 def test_tables_reject_bad_t():
     for fn in (lemma2_table, theorem3_table):
-        with pytest.raises(OddGroundSet):
-            fn(5)
-        with pytest.raises(ValueError):
-            fn(2)
+        for t in (0, 29, -3):
+            message = f"^bound tables defined for 1 <= t <= 28, got {t}$"
+            with pytest.raises(ValueError, match=message):
+                fn(t)
+
+
+def rows_of(table):
+    return [(r.k, r.kind, r.exact, r.lower, r.upper) for r in table.rows]
+
+
+def test_tables_at_small_and_odd_t():
+    # one rule at every t: exact at k = 0, t and 2k = t; the middle pair
+    # f_((t-1)/2) + f_((t+1)/2) is offset 1 at odd t
+    x, lo, up = "exact", "lower", "upper"
+    assert rows_of(theorem3_table(1)) == [(0, x, 0, 0, 0), (1, x, 1, 1, 1)]
+    assert rows_of(lemma2_table(1)) == [(0, x, 1, 1, 1), (1, x, 0, 0, 0)]
+    assert rows_of(theorem3_table(2)) == [(0, x, 0, 0, 0), (1, x, 1, 1, 1), (2, x, 1, 1, 1)]
+    assert rows_of(lemma2_table(2)) == [(0, x, 1, 1, 1), (1, x, 1, 1, 1), (2, x, 0, 0, 0)]
+    assert theorem3_table(1).pair_sums == theorem3_table(2).pair_sums == ()
+    assert rows_of(theorem3_table(3)) == [
+        (0, x, 0, 0, 0), (1, up, None, 0, 1), (2, lo, None, 2, 3), (3, x, 1, 1, 1)]
+    assert rows_of(lemma2_table(3)) == [
+        (0, x, 1, 1, 1), (1, lo, None, 2, 3), (2, up, None, 0, 1), (3, x, 0, 0, 0)]
+    assert theorem3_table(3).pair_sums == lemma2_table(3).pair_sums == ((1, 3),)
+    assert rows_of(theorem3_table(7)) == [
+        (0, x, 0, 0, 0), (1, up, None, 0, 1), (2, up, None, 0, 6), (3, up, None, 0, 15),
+        (4, lo, None, 20, 35), (5, lo, None, 15, 21), (6, lo, None, 6, 7), (7, x, 1, 1, 1)]
+    assert rows_of(lemma2_table(7)) == [
+        (0, x, 1, 1, 1), (1, lo, None, 6, 7), (2, lo, None, 15, 21), (3, lo, None, 20, 35),
+        (4, up, None, 0, 15), (5, up, None, 0, 6), (6, up, None, 0, 1), (7, x, 0, 0, 0)]
+    assert theorem3_table(7).pair_sums == ((1, 35), (2, 21), (3, 7))
+
+
+def test_verifiers_at_odd_t():
+    report = verify_theorem3(clutter(7, FANO))
+    assert report["pass"] and report["f"] == [0, 0, 0, 7, 28, 21, 7, 1]
+    assert [(p["offset"], p["actual"]) for p in report["pair_sums"]] == [(1, 35), (2, 21), (3, 7)]
+    # {{t}} attains every bound, and so does its complement complex, the
+    # simplex on E_(t-1)
+    for t in (3, 5, 7):
+        assert all(row["slack"] == 0 for row in verify_theorem3(clutter(t, [[t]]))["rows"])
+        simplex = Complex(SetFamily(t, tuple(range(1 << (t - 1)))))
+        report = verify_lemma2(simplex)
+        assert report["pass"] and all(row["slack"] == 0 for row in report["rows"])
 
 
 def test_table_rows_bracket_and_pin_ends():
@@ -239,8 +278,8 @@ def test_verify_theorem3_triangle_slack():
 
 
 def test_verify_theorem3_rejects():
-    with pytest.raises(OddGroundSet):
-        verify_theorem3(clutter(5, TRIANGLE))
+    with pytest.raises(NotSelfDual):
+        verify_theorem3(clutter(5, [[1, 2], [3, 4, 5]]))
     with pytest.raises(NotSelfDual):
         verify_theorem3(clutter(4, [[1, 2], [2, 3], [3, 4]]))
 
@@ -265,8 +304,5 @@ def test_verify_lemma2_examples():
 def test_verify_lemma2_rejects():
     with pytest.raises(NotStarSelfDual):
         verify_lemma2(Complex(SetFamily(4, tuple(range(16)))))
-    sets = [[]]
-    for e in range(1, 5):
-        sets += [s + [e] for s in sets]
-    with pytest.raises(OddGroundSet):
-        verify_lemma2(Complex(SetFamily.from_sets(5, sets)))
+    with pytest.raises(NotStarSelfDual):
+        verify_lemma2(Complex(SetFamily(5, tuple(range(32)))))
