@@ -51,7 +51,6 @@ from .sets import (
     complement_family,
     complement_set,
     is_self_dual,
-    max_elements,
     min_elements,
     principal_upset,
     self_dual_criterion,

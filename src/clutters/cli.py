@@ -88,7 +88,7 @@ def cmd_star(args) -> int:
 
 
 def cmd_upset(args) -> int:
-    up = sets.up_closure(_min_clutter(args.file))
+    up = sets.up_closure(_family(args.file))
     fv = vectors.f_vector(up)
     if args.json:
         out = {"t": up.t, "count": len(up), "f": list(fv.counts)}
@@ -105,15 +105,9 @@ def cmd_upset(args) -> int:
     return 0
 
 
-def _min_clutter(path: str) -> sets.Clutter:
-    # upset accepts any family; generators are its minimal members
-    return sets.min_elements(_family(path))
-
-
 def _vector_family(args) -> sets.SetFamily:
-    if args.upset:
-        return sets.up_closure(_min_clutter(args.file))
-    return _family(args.file)
+    fam = _family(args.file)
+    return sets.up_closure(fam) if args.upset else fam
 
 
 def cmd_fvector(args) -> int:

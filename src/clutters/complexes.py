@@ -26,10 +26,12 @@ from .errors import EmptyVertexSet, InconsistentResult, NotStarSelfDual
 from .sets import (
     Clutter,
     SetFamily,
+    complement_bitmap,
     down_bitmap,
     elements_of,
     iter_bits,
-    max_elements,
+    members_of,
+    minimal_bitmap,
     star_bitmap,
     star_invariant,
 )
@@ -66,8 +68,10 @@ class Complex:
 
     @cached_property
     def facets(self) -> Clutter:
-        """Inclusion-maximal faces."""
-        return max_elements(self.family)
+        """Inclusion-maximal faces: complements of the minimal complements."""
+        t = self.t
+        co = _complements(minimal_bitmap(_complements(self.family.bitmap, t), t), t)
+        return Clutter._antichain(t, members_of(co, t))
 
     @cached_property
     def dim_size(self) -> int:
@@ -76,6 +80,11 @@ class Complex:
 
     def __len__(self) -> int:
         return len(self.family)
+
+
+def _complements(bm: int, t: int) -> int:
+    """{E_t - F : F in bm}: the star of 2^[t] - bm."""
+    return star_bitmap(complement_bitmap(bm, t), t)
 
 
 def _vertices(bm: int, t: int) -> int:

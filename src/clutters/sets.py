@@ -24,6 +24,11 @@ membership and f-vectors read whichever is held, so a dense family's
 members are decoded only when they are iterated, printed, compared or
 hashed.
 
+Minimal members take `_minimalize` on masks (the `Clutter` antichain
+test, `min_elements`, Berge) and `minimal_bitmap` on bitmaps (the dense
+blocker, the enumeration, `Complex.facets`). `up_closure` takes any
+family, whose up-closure is that of its minimal members.
+
 Subset inclusion is mask containment: a <= b as sets iff a & ~b == 0, which
 also implies a <= b numerically; canonical order is therefore compatible
 with inclusion (subsets never sort after supersets).
@@ -236,10 +241,18 @@ def layer_counts(bm: int, t: int) -> list[int]:
 
 
 def _minimalize(masks: Iterable[int]) -> list[int]:
-    """Inclusion-minimal masks in ascending (size, mask) order."""
+    """Inclusion-minimal masks in ascending (size, mask) order. Distinct
+    masks of one size never contain each other, so a mask is compared
+    only with `below`, the masks kept before its size began."""
     kept: list[int] = []
-    for m in sorted(set(masks), key=lambda x: (x.bit_count(), x)):
-        if not any(r & ~m == 0 for r in kept):
+    below, size = kept, -1
+    for m in sorted(sorted(set(masks)), key=int.bit_count):
+        if m.bit_count() > size:
+            size, below = m.bit_count(), kept[:]
+        for r in below:
+            if r & ~m == 0:
+                break
+        else:
             kept.append(m)
     return kept
 
@@ -262,16 +275,16 @@ class SetFamily:
     def from_sets(cls, t: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
         return cls(t, tuple(mask_of(s, t) for s in sets))
 
-    @classmethod
-    def from_bitmap(cls, t: int, bm: int) -> "SetFamily":
+    @staticmethod
+    def from_bitmap(t: int, bm: int) -> "SetFamily":
         """Family of a dense bitmap in 0..2^(2^t) - 1, which it keeps as
-        its `bitmap`; `members` is decoded from it on first read.
-        Subclass invariants are not checked: Clutter overrides this.
+        its `bitmap`; `members` is decoded from it on first read. Always
+        a SetFamily, so no subclass invariant is skipped.
         """
         check_ground_set(t)
         if bm < 0 or bm >> (1 << t):
             raise ValueError(f"member mask outside 2^[{t}]")
-        fam = object.__new__(cls)
+        fam = object.__new__(SetFamily)
         object.__setattr__(fam, "t", t)
         fam.__dict__["bitmap"] = bm
         return fam
@@ -288,6 +301,12 @@ class SetFamily:
         """Dense form: bit S is set iff S is a member (t <= 28)."""
         check_dense(self.t)
         return bitmap_of(self.members, self.t)
+
+    @cached_property
+    def upset_bitmap(self) -> int:
+        """Bitmap of the up-closure F^v, once, from the members (t <= 28)."""
+        check_dense(self.t)
+        return up_bitmap(bitmap_of(self.members, self.t), self.t)
 
     def sets(self) -> tuple[tuple[int, ...], ...]:
         """Members as tuples of 1-based elements (for display)."""
@@ -338,28 +357,19 @@ class Clutter(SetFamily):
     def __post_init__(self) -> None:
         super().__post_init__()
         ms = self.members
-        for j in range(len(ms)):
-            mj = ms[j]
-            for i in range(j):
-                # ascending numeric order, so only members[i] < members[j] possible
-                if ms[i] & ~mj == 0:
-                    raise ValueError(
-                        f"not an antichain: {elements_of(ms[i])} is contained"
-                        f" in {elements_of(mj)}"
-                    )
-
-    @classmethod
-    def from_bitmap(cls, t: int, bm: int) -> "Clutter":
-        """Clutter of a dense bitmap, checked pair by pair like any input."""
-        cl = cls(t, SetFamily.from_bitmap(t, bm).members)
-        cl.__dict__["bitmap"] = bm
-        return cl
+        kept = set(_minimalize(ms))
+        if len(kept) < len(ms):
+            # the first member above another, and the first member below it
+            above = next(m for m in ms if m not in kept)
+            below = next(m for m in ms if m & ~above == 0)
+            raise ValueError(f"not an antichain: {elements_of(below)} is contained"
+                             f" in {elements_of(above)}")
 
     @classmethod
     def _antichain(cls, t: int, masks: Iterable[int]) -> "Clutter":
         """Clutter of distinct masks in 0..2^t - 1, in any order, that the
         package built as an antichain (`_minimalize` or `minimal_bitmap`
-        output); the O(n^2) pair check runs only on masks from outside."""
+        output); the antichain test runs only on masks from outside."""
         cl = object.__new__(cls)
         object.__setattr__(cl, "t", t)
         object.__setattr__(cl, "members", tuple(sorted(masks)))
@@ -368,12 +378,6 @@ class Clutter(SetFamily):
     @property
     def nontrivial(self) -> bool:
         return self.members not in ((), (0,))
-
-    @cached_property
-    def upset_bitmap(self) -> int:
-        """Bitmap of the up-closure A^v, computed once per clutter (t <= 28)."""
-        check_dense(self.t)
-        return up_bitmap(bitmap_of(self.members, self.t), self.t)
 
     @cached_property
     def self_dual(self) -> bool:
@@ -414,23 +418,16 @@ def min_elements(f: SetFamily) -> Clutter:
     return Clutter._antichain(f.t, _minimalize(f.members))
 
 
-def max_elements(f: SetFamily) -> Clutter:
-    """Antichain of inclusion-maximal members: the complements of the
-    minimal complements."""
-    full = full_mask(f.t)
-    return Clutter._antichain(f.t, [full ^ m for m in _minimalize(full ^ m for m in f)])
-
-
 def principal_upset(mask: int, t: int) -> SetFamily:
     """The increasing family generated by the one-member clutter {mask}."""
     return up_closure(Clutter(t, (mask,)))
 
 
-def up_closure(a: Clutter) -> SetFamily:
-    """The increasing family a^v generated by clutter a on its ground set,
-    held as the bitmap `a.upset_bitmap` (t <= 28; GroundSetTooLarge
-    otherwise). Its members are decoded only when read."""
-    return SetFamily.from_bitmap(a.t, a.upset_bitmap)
+def up_closure(f: SetFamily) -> SetFamily:
+    """The increasing family f^v generated by any family f (that of its
+    minimal members), held as the bitmap `f.upset_bitmap` (t <= 28;
+    GroundSetTooLarge otherwise). Its members are decoded only when read."""
+    return SetFamily.from_bitmap(f.t, f.upset_bitmap)
 
 
 def blocker_dense(a: Clutter) -> Clutter:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from clutters import Clutter, SetFamily, enumerate_self_dual
-from clutters.sets import minimal_bitmap, star_bitmap, up_bitmap
+from clutters.sets import members_of, minimal_bitmap, star_bitmap, up_bitmap
 
 # the three self-dual clutters used throughout: a triangle of 2-sets,
 # a single singleton, and the 5-element cone-over-square clutter
@@ -64,7 +64,7 @@ def self_dual_clutters(draw, min_t=7, max_t=16):
         if not grown >> (full ^ c) & 1:
             f0 = grown
     up = f0 | star_bitmap(f0, s) << (1 << s)
-    return Clutter.from_bitmap(t, minimal_bitmap(up, t))
+    return Clutter(t, members_of(minimal_bitmap(up, t), t))
 
 
 def not_applicable(t):

@@ -5,7 +5,9 @@ These are the loops over all 2^t subsets that the package used before
 its dense operations moved to 2^t-bit bitmaps, the direct antichain
 search on E_t that the enumeration used before it went through E_(t-1),
 and the member-at-a-time loops that wrote families before `familyio`
-wrote them from half-word tables; and `low_layers_intersect`, the fact
+wrote them from half-word tables; the all-pairs minimalization and
+antichain test that `sets` used before it compared a mask only with
+smaller sizes; and `low_layers_intersect`, the fact
 behind the bound tables at every t, tested on masks. They
 work on plain mask tuples and ints, share no code with `clutters`, and
 are meant for small t only.
@@ -56,6 +58,35 @@ def elements(mask):
 def is_antichain(members):
     """No member contains another, by a check of every pair."""
     return not any(a != b and a & ~b == 0 for a in members for b in members)
+
+
+def minimalize(masks):
+    """Inclusion-minimal masks in ascending (size, mask) order, each mask
+    compared with every mask kept before it."""
+    kept = []
+    for m in sorted(set(masks), key=lambda x: (x.bit_count(), x)):
+        if not any(r & ~m == 0 for r in kept):
+            kept.append(m)
+    return kept
+
+
+def first_contained_pair(masks):
+    """(i, j) for the first j, in ascending order of the distinct masks,
+    that contains an earlier mask i, and the first such i; None for an
+    antichain. Every pair is checked."""
+    ms = sorted(set(masks))
+    for j in range(len(ms)):
+        for i in range(j):
+            if ms[i] & ~ms[j] == 0:
+                return ms[i], ms[j]
+    return None
+
+
+def maximal_members(members):
+    """Members contained in no other member, by a check of every pair."""
+    return tuple(sorted(
+        m for m in set(members) if not any(m != o and m & ~o == 0 for o in members)
+    ))
 
 
 def format_family(t, members):

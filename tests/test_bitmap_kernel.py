@@ -7,6 +7,7 @@ split path (cubes above the mask-cache limit) against the cached path.
 
 import contextlib
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -130,10 +131,14 @@ def test_from_bitmap_checks_what_it_does_not_trust():
             for cls in (SetFamily, Clutter):
                 with pytest.raises(ValueError, match=rf"member mask outside 2\^\[{t}\]"):
                     cls.from_bitmap(t, bm)
-    # a bitmap from outside the kernel need not be an antichain
+    # a bitmap is never taken as a clutter unchecked: called on Clutter,
+    # from_bitmap still builds a plain family, and a clutter of its
+    # members takes the antichain test like any input
+    bm = bitmap_of((1, 3), 3)
+    assert type(Clutter.from_bitmap(3, bm)) is SetFamily
     with pytest.raises(ValueError, match="not an antichain"):
-        Clutter.from_bitmap(3, bitmap_of((1, 3), 3))
-    assert Clutter.from_bitmap(3, bitmap_of((3, 4), 3)).members == (3, 4)
+        Clutter(3, members_of(bm, 3))
+    assert Clutter(3, members_of(bitmap_of((3, 4), 3), 3)).members == (3, 4)
 
 
 @SETTINGS
@@ -155,6 +160,31 @@ def test_minimalize_output_is_an_antichain(tf):
     assert sorted(kept) == [m for m in members if not any(r != m and r & ~m == 0 for r in members)]
     # the unchecked constructor agrees with the checked one
     assert Clutter._antichain(t, kept) == Clutter(t, kept)
+
+
+masks_up_to_t9 = st.integers(1, 9).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(st.integers(0, (1 << t) - 1), max_size=80)))
+
+
+@SETTINGS
+@given(masks_up_to_t9)
+def test_minimalize_matches_the_all_pairs_reference(tm):
+    _, masks = tm
+    assert sets._minimalize(masks) == oracles.minimalize(masks)
+
+
+@SETTINGS
+@given(masks_up_to_t9)
+def test_antichain_error_names_the_first_contained_pair(tm):
+    t, masks = tm
+    pair = oracles.first_contained_pair(masks)
+    if pair is None:
+        assert Clutter(t, masks).members == tuple(sorted(set(masks)))
+    else:
+        i, j = (sets.elements_of(m) for m in pair)
+        with pytest.raises(ValueError) as err:
+            Clutter(t, masks)
+        assert str(err.value) == f"not an antichain: {i} is contained in {j}"
 
 
 def test_decode_skips_long_zero_runs():
@@ -253,6 +283,16 @@ def test_complex_operations_match_tuple_loops(tf):
 
 
 @SETTINGS
+@given(families())
+def test_facets_are_the_maximal_faces(tf):
+    t, members = tf
+    assume(members)
+    c = down_closure(SetFamily(t, members))
+    assert c.facets.members == oracles.maximal_members(c.family.members)
+    assert c.facets.members == oracles.maximal_members(members)
+
+
+@SETTINGS
 @given(clutters(max_t=7))
 def test_complement_complex_matches_tuple_loop(cl):
     up = up_closure(cl)
@@ -296,3 +336,34 @@ def test_t24_blocker_and_f_vector_of_a_small_clutter():
     fv = f_vector(up_closure(a))
     assert fv.counts == tuple(f)
     assert fv.total() == total == len(up_closure(a))
+
+
+def test_t16_middle_layer_takes_no_pair_loop():
+    # the 12,870 8-sets of E_16: an antichain of one size, whose blocker is
+    # the 11,440 9-sets; a loop over member pairs would take seconds here
+    t = 16
+    layer = [m for m in range(1 << t) if m.bit_count() == 8]
+    start = time.perf_counter()
+    a = Clutter(t, layer)
+    assert len(a) == 12870
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert min_elements(a) == a
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    b = blocker(a)
+    assert len(b) == 11440 and all(m.bit_count() == 9 for m in b)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert len(up_closure(a)) == 39203
+    assert time.perf_counter() - start < 1.0
+
+
+def test_t18_facets_read_the_bitmap():
+    # faces meeting {1,2,3} at most once: facets E_18 - {i, j} for i < j <= 3
+    c = complement_complex(up_closure(Clutter.from_sets(18, [[1, 2], [1, 3], [2, 3]])))
+    start = time.perf_counter()
+    facets = c.facets
+    assert time.perf_counter() - start < 0.05
+    full = full_mask(18)
+    assert facets.members == tuple(sorted(full ^ m for m in (3, 5, 6)))

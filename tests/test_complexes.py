@@ -71,6 +71,11 @@ def test_facets_examples():
     assert Complex(SetFamily(3, (0,))).facets == Clutter(3, (0,))
 
 
+def test_facets_of_down_closures():
+    assert down_closure(family(3, [[1], [1, 2], [2, 3]])).facets == clutter(3, [[1, 2], [2, 3]])
+    assert down_closure(SetFamily(4, tuple(range(16)))).facets == Clutter(4, (full_mask(4),))
+
+
 def test_facets_roundtrip():
     rng = random.Random(21)
     for _ in range(100):

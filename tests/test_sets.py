@@ -13,7 +13,6 @@ from clutters import (
     complement_family,
     complement_set,
     is_self_dual,
-    max_elements,
     min_elements,
     principal_upset,
     self_dual_criterion,
@@ -180,18 +179,13 @@ def test_upset_membership_reads_the_bitmap():
     assert mask_of([1, 7], 20) not in up
 
 
-# --- minimal / maximal members ----------------------------------------------
+# --- minimal members ----------------------------------------------------
 
 def test_min_elements_examples():
     assert min_elements(family(3, [[1], [1, 2], [2, 3]])) == clutter(3, [[1], [2, 3]])
     anti = clutter(3, TRIANGLE)
     assert min_elements(anti) == anti
     assert min_elements(SetFamily(4, tuple(range(16)))) == Clutter(4, (0,))
-
-
-def test_max_elements():
-    assert max_elements(family(3, [[1], [1, 2], [2, 3]])) == clutter(3, [[1, 2], [2, 3]])
-    assert max_elements(SetFamily(4, tuple(range(16)))) == Clutter(4, (full_mask(4),))
 
 
 # --- blockers ----------------------------------------------------------------
