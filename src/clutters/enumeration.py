@@ -20,9 +20,18 @@ containing c puts E_(t-1) - c, a subset of E_(t-1) - X, in the
 up-family. A rejected node has no pair-free descendants, since
 generators only add members, so every visited node is a hit. Each
 antichain is reached only by choosing its members in candidate order, so
-each clutter is emitted once. Every hit is still certified from its own
-members (`Clutter.self_dual`: B(A)^v = (A^v)* compared with A^v on
-bitmaps), and `verify_universe` reads that cached verdict.
+each clutter is emitted once.
+
+After the search, all hits travel as packed bitmaps (see `sets`), one
+block per hit, so minimal members and up-closure each take t shift-or
+passes over all hits at once. The up-families F0 plus lifted star(F0)
+are packed, and their minimal members are decoded once per hit and
+sorted into canonical order. Every hit is then certified from its
+own members, not from the search's bitmap: the members are re-encoded
+into a fresh packed bitmap, closed upward, and each block is tested
+for B(A)^v = (A^v)* = A^v (`sets.star_invariant`, once per hit). Each
+clutter keeps its block as `upset_bitmap` and the verdict as
+`self_dual`, which `verify_universe` reads.
 """
 
 from __future__ import annotations
@@ -39,10 +48,14 @@ from .sets import (
     SetFamily,
     check_ground_set,
     complement_bitmap,
+    iter_bits,
     layer_counts,
-    members_of,
-    minimal_bitmap,
+    pack_bitmaps,
+    pack_families,
+    packed_minimal_bitmap,
+    packed_up_bitmap,
     star_bitmap,
+    unpack_bitmaps,
     up_bitmap,
     up_closure,
 )
@@ -90,14 +103,17 @@ def enumerate_self_dual(t: int) -> EnumerationResult:
                 rec(j + 1, nb)
 
     rec(0, 0)
+    n = len(upsets)
+    packed = pack_bitmaps((bm | star_bitmap(bm, s) << (1 << s) for bm in upsets), t)
+    hits = [tuple(iter_bits(g)) for g in unpack_bitmaps(packed_minimal_bitmap(packed, t), t, n)]
+    hits.sort()
+    certified = unpack_bitmaps(packed_up_bitmap(pack_families(hits, t), t), t, n)
     clutters = []
-    for bm in upsets:
-        up = bm | star_bitmap(bm, s) << (1 << s)
-        cl = Clutter._antichain(t, members_of(minimal_bitmap(up, t), t))
+    for members, upset in zip(hits, certified):
+        cl = Clutter._antichain(t, members, upset)
         if not cl.self_dual:
             raise NotSelfDual(f"search hit {cl!r} failed blocker certification")
         clutters.append(cl)
-    clutters.sort(key=lambda cl: cl.members)
     return EnumerationResult(t, tuple(clutters))
 
 

@@ -19,11 +19,15 @@ text is the bulk of a command's work. Neither direction loops over the
 elements of a member in Python. A canonical brace line is read through a
 table from token to bit, and a member is written as two lookups in string
 tables over the low t//2 and the high t - t//2 bits of its mask, built per
-call. `write_members_json` writes the `--json` form of a family, exactly
-the bytes of `json.dumps(obj, indent=2)` and a newline, in chunks of
-CHUNK members. At t = 20, `upset --list --json` on 730,739 members (80
-MiB) takes about 1.1 s at 72 MB peak RSS, against 11 s and 886 MB for
-`json.dumps` of the member lists (2-vCPU VM, CPython 3.11).
+call. `format_families` (the `enumerate --out` document, thousands of
+small families) keeps one table per call and ground set from a mask to
+its whole line, filled from those two on first use, so each family is
+its header and one join. `write_members_json` writes the `--json` form
+of a family, exactly the bytes of `json.dumps(obj, indent=2)` and a
+newline, in chunks of CHUNK members. At t = 20, `upset --list --json` on
+730,739 members (80 MiB) takes about 1.1 s at 72 MB peak RSS, against
+11 s and 886 MB for `json.dumps` of the member lists (2-vCPU VM,
+CPython 3.11).
 """
 
 from __future__ import annotations
@@ -214,22 +218,38 @@ def _member_chunks(members: tuple[int, ...], rows: Callable, style: _Style) -> I
         yield text.replace(style.open + ",", style.open)
 
 
-def _format(f: SetFamily, rows: Callable) -> str:
+def format_family(f: SetFamily) -> str:
+    """Canonical serialization: header plus one brace-form set per line."""
+    rows = _member_rows(f.t, _TEXT)
     return "".join([f"t: {f.t}\n", *_member_chunks(f.members, rows, _TEXT)])
 
 
-def format_family(f: SetFamily) -> str:
-    """Canonical serialization: header plus one brace-form set per line."""
-    return _format(f, _member_rows(f.t, _TEXT))
+class _Lines(dict):
+    """Table from a mask on E_t to its canonical line, `{i,j,...}` and a
+    newline. Entries are made on first use from two half-word `_Elements`
+    tables, the ones `_member_rows` reads."""
+
+    def __init__(self, t: int):
+        super().__init__()
+        self.half = t // 2
+        self.low = (1 << self.half) - 1
+        self.lo, self.hi = _Elements(",", 0), _Elements(",", self.half)
+
+    def __missing__(self, mask: int) -> str:
+        elements = self.lo[mask & self.low] + self.hi[mask >> self.half]
+        line = self[mask] = "{" + elements[1:] + "}\n"
+        return line
 
 
 def format_families(fams: Iterable[SetFamily]) -> str:
-    rows: dict[int, Callable] = {}  # one pair of tables per ground set size
+    """format_family of each family, joined by `---` lines; each mask's
+    line is made once per document and ground set size."""
+    lines: dict[int, _Lines] = {}
     docs = []
     for f in fams:
-        if f.t not in rows:
-            rows[f.t] = _member_rows(f.t, _TEXT)
-        docs.append(_format(f, rows[f.t]))
+        if f.t not in lines:
+            lines[f.t] = _Lines(f.t)
+        docs.append(f"t: {f.t}\n" + "".join(map(lines[f.t].__getitem__, f.members)))
     return "---\n".join(docs)
 
 

@@ -26,8 +26,10 @@ hashed.
 
 Minimal members take `_minimalize` on masks (the `Clutter` antichain
 test, `min_elements`, Berge) and `minimal_bitmap` on bitmaps (the dense
-blocker, the enumeration, `Complex.facets`). `up_closure` takes any
-family, whose up-closure is that of its minimal members.
+blocker, `Complex.facets`). The enumeration runs the passes of
+`minimal_bitmap` and `up_bitmap` on all its hits at once, packed one
+family per block of one int. `up_closure` takes any family, whose
+up-closure is that of its minimal members.
 
 Subset inclusion is mask containment: a <= b as sets iff a & ~b == 0, which
 also implies a <= b numerically; canonical order is therefore compatible
@@ -149,9 +151,14 @@ def _halves(bm: int, t: int) -> tuple[int, int, int]:
     return bm & ((1 << half) - 1), bm >> half, half
 
 
+def _block_bytes(t: int) -> int:
+    """Bytes of a bitmap on 2^[t]: 2^t / 8, and one below t = 3."""
+    return max(1, 1 << t >> 3)
+
+
 def bitmap_of(masks: Iterable[int], t: int) -> int:
     """Dense bitmap of a family given by masks in 0..2^t - 1."""
-    buf = bytearray(max(1, 1 << t >> 3))
+    buf = bytearray(_block_bytes(t))
     for m in masks:
         buf[m >> 3] |= 1 << (m & 7)
     return int.from_bytes(buf, "little")
@@ -159,7 +166,7 @@ def bitmap_of(masks: Iterable[int], t: int) -> int:
 
 def members_of(bm: int, t: int) -> tuple[int, ...]:
     """Members of a dense bitmap, ascending; zero bytes are skipped in C."""
-    raw = bm.to_bytes(max(1, 1 << t >> 3), "little")
+    raw = bm.to_bytes(_block_bytes(t), "little")
     bits = _BYTE_BITS
     out: list[int] = []
     for run in _NONZERO_RUN.finditer(raw):
@@ -177,7 +184,11 @@ def up_bitmap(bm: int, t: int) -> int:
         lo = up_bitmap(lo, t - 1)
         hi = up_bitmap(hi, t - 1) | lo
         return lo | hi << half
-    for i, low in enumerate(_low_masks(t)):
+    return _up_passes(bm, _low_masks(t))
+
+
+def _up_passes(bm: int, lows: Iterable[int]) -> int:
+    for i, low in enumerate(lows):
         bm |= (bm & low) << (1 << i)
     return bm
 
@@ -200,10 +211,65 @@ def minimal_bitmap(bm: int, t: int) -> int:
         lo, hi, half = _halves(bm, t)
         hi = minimal_bitmap(hi, t - 1) & ~lo
         return minimal_bitmap(lo, t - 1) | hi << half
+    return _minimal_passes(bm, _low_masks(t))
+
+
+def _minimal_passes(bm: int, lows: Iterable[int]) -> int:
     above = 0
-    for i, low in enumerate(_low_masks(t)):
+    for i, low in enumerate(lows):
         above |= (bm & low) << (1 << i)
     return bm & ~above
+
+
+# Many families on one small cube can travel as one packed int: family h
+# in bytes [h B, (h+1) B), B = _block_bytes(t), so a cube of 2^t < 8 bits
+# is padded to its byte. A pass over element i moves bit S to S + 2^i <
+# 2^t, never out of its block, so the passes of up_bitmap and
+# minimal_bitmap, with each low_i repeated in every block, act on all the
+# families at once. The repeated masks are built per call: t ints as long
+# as the packed one, for cubes up to _CACHE_T.
+
+
+def pack_bitmaps(bitmaps: Iterable[int], t: int) -> int:
+    """Packed bitmap of families given by their bitmaps on 2^[t]."""
+    b = _block_bytes(t)
+    return int.from_bytes(b"".join(bm.to_bytes(b, "little") for bm in bitmaps), "little")
+
+
+def pack_families(families: list[tuple[int, ...]], t: int) -> int:
+    """Packed bitmap of families given by masks, written into one bytearray."""
+    b = _block_bytes(t)
+    buf = bytearray(len(families) * b)
+    for base, masks in zip(range(0, len(buf), b), families):
+        for m in masks:
+            buf[base + (m >> 3)] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def unpack_bitmaps(bm: int, t: int, n: int) -> list[int]:
+    """The bitmaps of the first n families of a packed bitmap."""
+    b = _block_bytes(t)
+    raw = bm.to_bytes(n * b, "little")
+    return [int.from_bytes(raw[i:i + b], "little") for i in range(0, n * b, b)]
+
+
+def _tiled_low_masks(bm: int, t: int) -> list[int]:
+    """_low_masks(t) repeated in every block that bm reaches: each mask
+    times the int with bit 0 of every block set."""
+    b = _block_bytes(t)
+    n = -(-bm.bit_length() // (b << 3))
+    ones = int.from_bytes((b"\x01" + bytes(b - 1)) * n, "little")
+    return [low * ones for low in _low_masks(t)]
+
+
+def packed_up_bitmap(bm: int, t: int) -> int:
+    """up_bitmap of every family of a packed bitmap, in t passes."""
+    return _up_passes(bm, _tiled_low_masks(bm, t))
+
+
+def packed_minimal_bitmap(bm: int, t: int) -> int:
+    """minimal_bitmap of every family of a packed bitmap, in t passes."""
+    return _minimal_passes(bm, _tiled_low_masks(bm, t))
 
 
 def complement_bitmap(bm: int, t: int) -> int:
@@ -366,13 +432,22 @@ class Clutter(SetFamily):
                              f" in {elements_of(above)}")
 
     @classmethod
-    def _antichain(cls, t: int, masks: Iterable[int]) -> "Clutter":
+    def _antichain(cls, t: int, masks: Iterable[int],
+                   upset_bitmap: int | None = None) -> "Clutter":
         """Clutter of distinct masks in 0..2^t - 1, in any order, that the
-        package built as an antichain (`_minimalize` or `minimal_bitmap`
-        output); the antichain test runs only on masks from outside."""
+        package built as an antichain (`_minimalize`, `minimal_bitmap` or
+        `packed_minimal_bitmap` output); the antichain test runs only on
+        masks from outside.
+
+        `upset_bitmap`, the bitmap of the masks' up-closure where the
+        caller has it, is kept, and `self_dual` is decided from it at once
+        (`star_invariant`), so neither cached property runs later."""
         cl = object.__new__(cls)
         object.__setattr__(cl, "t", t)
         object.__setattr__(cl, "members", tuple(sorted(masks)))
+        if upset_bitmap is not None:
+            cl.__dict__["upset_bitmap"] = upset_bitmap
+            cl.__dict__["self_dual"] = star_invariant(upset_bitmap, t)
         return cl
 
     @property

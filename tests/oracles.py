@@ -7,8 +7,10 @@ search on E_t that the enumeration used before it went through E_(t-1),
 and the member-at-a-time loops that wrote families before `familyio`
 wrote them from half-word tables; the all-pairs minimalization and
 antichain test that `sets` used before it compared a mask only with
-smaller sizes; and `low_layers_intersect`, the fact
-behind the bound tables at every t, tested on masks. They
+smaller sizes; `low_layers_intersect`, the fact
+behind the bound tables at every t, tested on masks; and
+`self_dual_count`, the number of self-dual clutters as a sum over pairs
+of up-families, with no search. They
 work on plain mask tuples and ints, share no code with `clutters`, and
 are meant for small t only.
 
@@ -266,3 +268,46 @@ def verify_universe(t, result):
         report[name] = {"passed": passed, "failed": result.count - passed}
     report["pass"] = all(report[name]["failed"] == 0 for name in checks)
     return report
+
+
+def up_families(n):
+    """Bitmaps of all up-families on E_n (the Dedekind numbers 2, 3, 6,
+    20, 168, 7581 for n = 0..5). Bit S stands for subset S. A family is
+    up-closed iff its members without element n (the low half) and its
+    members with n, n removed (the high half), are up-closed and the low
+    half lies inside the high half."""
+    if n == 0:
+        return [0, 1]
+    shift = 1 << (n - 1)
+    below = up_families(n - 1)
+    return [lo | hi << shift for hi in below for lo in below if lo & ~hi == 0]
+
+
+def self_dual_count(t):
+    """Number of self-dual clutters on E_t, without a search: the sum over
+    up-families G on E_(t-2) of #{up-family H : G <= H <= star(G)}.
+
+    A self-dual clutter on E_t is one pair-free up-family F0 on E_(t-1);
+    split F0 on element t-1 into G (members without it) and H (members
+    with it, it removed): F0 is up-closed iff G <= H, and pair-free iff
+    H <= star(G). has[S] has bit j set iff subset S is in the j-th
+    up-family, so the H that fit one G are the AND of has[S] over S in G
+    and of its complement over S outside star(G)."""
+    if t == 1:
+        return 1
+    n = t - 2
+    ups = up_families(n)
+    everyone = (1 << len(ups)) - 1
+    has = [sum(1 << j for j, h in enumerate(ups) if h >> s & 1) for s in range(1 << n)]
+    full = (1 << n) - 1
+    total = 0
+    for g in ups:
+        star_g = {full ^ s for s in range(1 << n) if not g >> s & 1}
+        fit = everyone
+        for s in range(1 << n):
+            if g >> s & 1:
+                fit &= has[s]
+            if s not in star_g:
+                fit &= ~has[s]
+        total += fit.bit_count()
+    return total

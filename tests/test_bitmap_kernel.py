@@ -11,7 +11,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -44,8 +44,13 @@ from clutters.sets import (
     layer_counts,
     members_of,
     minimal_bitmap,
+    pack_bitmaps,
+    pack_families,
+    packed_minimal_bitmap,
+    packed_up_bitmap,
     star_bitmap,
     star_invariant,
+    unpack_bitmaps,
     up_bitmap,
 )
 
@@ -233,6 +238,48 @@ def test_split_path_matches_cached_path(tf):
         got = (up_bitmap(bm, t), down_bitmap(bm, t), minimal_bitmap(bm, t),
                minimal_bitmap(up, t), layer_counts(bm, t))
     assert got == want
+
+
+@st.composite
+def generator_lists(draw):
+    """(t, gens): 1-40 generator tuples on E_t, t = 1..7, among them ()
+    (the empty up-family) and (0,) (the full cube) with fair odds."""
+    t = draw(st.integers(1, 7))
+    gens = st.one_of(
+        st.just(()), st.just((0,)),
+        st.lists(st.integers(0, (1 << t) - 1), max_size=6, unique=True).map(sorted).map(tuple),
+    )
+    return t, draw(st.lists(gens, min_size=1, max_size=40))
+
+
+@SETTINGS
+@given(generator_lists())
+@example((1, [(), (0,), (1,)]))
+@example((2, [(0,), (), (3,), (1, 2)]))
+@example((7, [(0,)] * 3 + [()]))
+def test_packed_kernels_act_on_each_block(tg):
+    # a cube at t <= 2 is narrower than its byte; no bit may leave its block
+    t, gens = tg
+    n = len(gens)
+    width = max(8, 1 << t)
+    raw = [bitmap_of(g, t) for g in gens]
+    ups = [bitmap_of(oracles.up_family(g, t), t) for g in gens]
+    packed = pack_bitmaps(raw, t)
+    assert packed == pack_families(gens, t) == sum(bm << h * width for h, bm in enumerate(raw))
+    assert unpack_bitmaps(packed, t, n) == raw
+    closed = unpack_bitmaps(packed_up_bitmap(packed, t), t, n)
+    assert closed == [up_bitmap(bm, t) for bm in raw] == ups
+    mins = packed_minimal_bitmap(pack_bitmaps(ups, t), t)
+    assert mins >> n * width == 0
+    assert unpack_bitmaps(mins, t, n) == [minimal_bitmap(u, t) for u in ups]
+    assert [members_of(m, t) for m in unpack_bitmaps(mins, t, n)] == [
+        oracles.minimal_members(oracles.up_family(g, t)) for g in gens
+    ]
+    # re-encoded from its minimal members, each block closes to the same up-family
+    hits = [members_of(m, t) for m in unpack_bitmaps(mins, t, n)]
+    again = packed_up_bitmap(pack_families(hits, t), t)
+    assert again >> n * width == 0
+    assert unpack_bitmaps(again, t, n) == ups
 
 
 # --- blocker ---------------------------------------------------------------------

@@ -26,7 +26,8 @@ from clutters import (
     verify_universe,
 )
 from clutters import enumeration
-from clutters.sets import SetFamily, star_invariant
+from clutters.cli import main
+from clutters.sets import SetFamily, bitmap_of, star_invariant, up_bitmap
 
 from oracles import pruned_self_dual_search
 
@@ -107,6 +108,8 @@ def test_no_duplicates_and_certified(enum5):
     for cl in enum5.items:
         assert blocker_dense(cl) == cl
         assert len(up_closure(cl)) == 16
+        # the up-set bitmap kept from the packed closure is the members' own
+        assert cl.upset_bitmap == up_bitmap(bitmap_of(cl.members, 5), 5)
 
 
 def test_closed_under_relabeling(enum5):
@@ -128,11 +131,35 @@ def test_items_strictly_ascending_by_members(universes):
         assert all(a < b for a, b in zip(members, members[1:]))
 
 
-def test_matches_pruned_direct_search(universes):
+@pytest.fixture(scope="module")
+def pruned_hits():
+    """pruned_self_dual_search(t) for t = 1..6, by t."""
+    return {t: pruned_self_dual_search(t) for t in range(1, 7)}
+
+
+def test_matches_pruned_direct_search(universes, pruned_hits):
     for res in universes:
-        oracle = pruned_self_dual_search(res.t)
+        oracle = pruned_hits[res.t]
         assert len(oracle) == len(set(oracle)) == res.count
         assert {cl.members for cl in res.items} == set(oracle)
+
+
+def test_out_file_is_the_oracle_text(pruned_hits, tmp_path, capsys):
+    # the oracle search and member-by-member writer share no code with
+    # the enumeration or format_families
+    for t, hits in pruned_hits.items():
+        path = tmp_path / f"u{t}.fam"
+        assert main(["enumerate", "--t", str(t), "--out", str(path)]) == 0
+        assert capsys.readouterr().out == f"t={t} count={len(hits)}\n"
+        want = "---\n".join(oracles.format_family(t, m) for m in sorted(hits))
+        assert path.read_bytes() == want.encode()
+
+
+def test_count_oracle(universes):
+    # a sum over pairs of up-families on E_(t-2), with no search
+    for res in universes:
+        assert oracles.self_dual_count(res.t) == res.count
+    assert oracles.self_dual_count(7) == 1422564
 
 
 def test_rejects_large_t():

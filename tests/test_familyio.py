@@ -113,10 +113,17 @@ def test_format_is_canonical_and_roundtrips():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(families(), min_size=1, max_size=4))
-def test_format_families_roundtrip(tms):
+@given(st.lists(families(), min_size=1, max_size=4), families())
+def test_format_families_roundtrip(tms, tm):
+    # one document on two ground sets, with a family holding {}
+    t, members = tm
+    other = t % 8 + 1
+    tms = tms + [(t, tuple(sorted({0, *members}))), (other, members[:1]), (t, members)]
+    tms = [(s, tuple(m for m in ms if m >> s == 0)) for s, ms in tms]
     fams = [SetFamily(*tm) for tm in tms]
-    docs = parse_families(format_families(fams))
+    text = format_families(fams)
+    assert text == "---\n".join(oracles.format_family(s, ms) for s, ms in tms)
+    docs = parse_families(text)
     assert [p.family() for p in docs] == fams
 
 
