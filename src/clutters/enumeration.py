@@ -23,10 +23,10 @@ antichain is reached only by choosing its members in candidate order, so
 each clutter is emitted once.
 
 After the search, all hits travel as packed bitmaps (see `sets`), one
-block per hit, so minimal members and up-closure each take t shift-or
-passes over all hits at once. The up-families F0 plus lifted star(F0)
-are packed, and their minimal members are decoded once per hit and
-sorted into canonical order. Every hit is then certified from its
+block per hit, so `sets.minimal_bitmap` and `sets.up_bitmap` each take t
+shift-or passes over all hits at once. The up-families F0 plus lifted
+star(F0) are packed, and their minimal members are decoded once per hit
+and sorted into canonical order. Every hit is then certified from its
 own members, not from the search's bitmap: the members are re-encoded
 into a fresh packed bitmap, closed upward, and each block is tested
 for B(A)^v = (A^v)* = A^v (`sets.star_invariant`, once per hit). Each
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from .complexes import Complex, is_star_self_dual
 from .errors import GroundSetTooLarge, NotSelfDual, NotStarSelfDual
 from .identities import appendix_report
-from .kks import _verify_against, lemma2_table, theorem3_table
+from .kks import lemma2_table, theorem3_table, verify_against
 from .sets import (
     Clutter,
     SetFamily,
@@ -50,10 +50,9 @@ from .sets import (
     complement_bitmap,
     iter_bits,
     layer_counts,
+    minimal_bitmap,
     pack_bitmaps,
     pack_families,
-    packed_minimal_bitmap,
-    packed_up_bitmap,
     star_bitmap,
     unpack_bitmaps,
     up_bitmap,
@@ -105,9 +104,9 @@ def enumerate_self_dual(t: int) -> EnumerationResult:
     rec(0, 0)
     n = len(upsets)
     packed = pack_bitmaps((bm | star_bitmap(bm, s) << (1 << s) for bm in upsets), t)
-    hits = [tuple(iter_bits(g)) for g in unpack_bitmaps(packed_minimal_bitmap(packed, t), t, n)]
+    hits = [tuple(iter_bits(g)) for g in unpack_bitmaps(minimal_bitmap(packed, t), t, n)]
     hits.sort()
-    certified = unpack_bitmaps(packed_up_bitmap(pack_families(hits, t), t), t, n)
+    certified = unpack_bitmaps(up_bitmap(pack_families(hits, t), t), t, n)
     clutters = []
     for members, upset in zip(hits, certified):
         cl = Clutter._antichain(t, members, upset)
@@ -161,8 +160,8 @@ def verify_universe(t: int, result: EnumerationResult | None = None) -> dict:
     for f, n in tally.items():
         fv = FVector(t, f)
         rest = FVector(t, tuple(binom(t, k) - fk for k, fk in enumerate(f)))
-        passed["theorem3"] += n * _verify_against(t3, fv)["pass"]
-        passed["lemma2"] += n * _verify_against(l2, rest)["pass"]
+        passed["theorem3"] += n * verify_against(t3, fv)["pass"]
+        passed["lemma2"] += n * verify_against(l2, rest)["pass"]
         passed["appendix"] += n * appendix_report(fv)["pass"]
     report: dict = {"t": t, "count": res.count}
     for name, ok in passed.items():

@@ -161,7 +161,8 @@ def theorem3_table(t: int) -> BoundTable:
     return _bound_table(t, lambda k: binom(t - 1, k - 1), "upper")
 
 
-def _verify_against(table: BoundTable, fv: FVector) -> dict:
+def verify_against(table: BoundTable, fv: FVector) -> dict:
+    """Check fv against every row and pair sum of table, with slacks."""
     t = table.t
     m = (t + 1) // 2
     rows = []
@@ -203,7 +204,7 @@ def verify_theorem3(a: Clutter) -> dict:
     if not is_self_dual(a):
         raise NotSelfDual("clutter does not equal its blocker")
     fv = f_vector(up_closure(a))
-    report = _verify_against(theorem3_table(a.t), fv)
+    report = verify_against(theorem3_table(a.t), fv)
     report["self_dual"] = True
     return report
 
@@ -214,6 +215,6 @@ def verify_lemma2(c: Complex) -> dict:
     if not is_star_self_dual(c):
         raise NotStarSelfDual("complex does not equal its star")
     fv = f_vector(c.family)
-    report = _verify_against(lemma2_table(c.t), fv)
+    report = verify_against(lemma2_table(c.t), fv)
     report["star_self_dual"] = True
     return report

@@ -26,9 +26,9 @@ hashed.
 
 Minimal members take `_minimalize` on masks (the `Clutter` antichain
 test, `min_elements`, Berge) and `minimal_bitmap` on bitmaps (the dense
-blocker, `Complex.facets`). The enumeration runs the passes of
-`minimal_bitmap` and `up_bitmap` on all its hits at once, packed one
-family per block of one int. `up_closure` takes any family, whose
+blocker, `Complex.facets`). `minimal_bitmap` and `up_bitmap` also take
+many families on one cube, packed one per block of one int, as the
+enumeration holds its hits. `up_closure` takes any family, whose
 up-closure is that of its minimal members.
 
 Subset inclusion is mask containment: a <= b as sets iff a & ~b == 0, which
@@ -177,24 +177,39 @@ def members_of(bm: int, t: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Many families on one small cube can travel as one packed int: family h
+# in bytes [h B, (h+1) B), B = _block_bytes(t), so a cube of 2^t < 8 bits
+# is padded to its byte. A pass over element i moves bit S to S + 2^i <
+# 2^t, never out of its block, so up_bitmap and minimal_bitmap act on all
+# the families at once, with each low_i repeated in every block: t ints
+# as long as the packed one, built per call, for cubes up to _CACHE_T.
+
+
+def _lows(bm: int, t: int) -> tuple[int, ...] | list[int]:
+    """_low_masks(t), tiled over the blocks of bm if it has more than one."""
+    b = _block_bytes(t)
+    n = -(-bm.bit_length() // (b << 3))
+    if n <= 1:
+        return _low_masks(t)
+    ones = int.from_bytes((b"\x01" + bytes(b - 1)) * n, "little")
+    return [low * ones for low in _low_masks(t)]
+
+
 def up_bitmap(bm: int, t: int) -> int:
-    """Up-closure within 2^[t]: t shift-or passes (a zeta transform)."""
+    """Up-closure within 2^[t]: t shift-or passes (a zeta transform), on
+    every packed family of bm up to _CACHE_T and on one cube above."""
     if t > _CACHE_T:
         lo, hi, half = _halves(bm, t)
         lo = up_bitmap(lo, t - 1)
         hi = up_bitmap(hi, t - 1) | lo
         return lo | hi << half
-    return _up_passes(bm, _low_masks(t))
-
-
-def _up_passes(bm: int, lows: Iterable[int]) -> int:
-    for i, low in enumerate(lows):
+    for i, low in enumerate(_lows(bm, t)):
         bm |= (bm & low) << (1 << i)
     return bm
 
 
 def down_bitmap(bm: int, t: int) -> int:
-    """Down-closure within 2^[t], the mirror image of up_bitmap."""
+    """Down-closure of one cube 2^[t], the mirror image of up_bitmap."""
     if t > _CACHE_T:
         lo, hi, half = _halves(bm, t)
         hi = down_bitmap(hi, t - 1)
@@ -206,28 +221,16 @@ def down_bitmap(bm: int, t: int) -> int:
 
 
 def minimal_bitmap(bm: int, t: int) -> int:
-    """Members S with no member S - {e}: for an up-set, its minimal members."""
+    """Members S with no member S - {e}: for an up-set, its minimal
+    members; on packed families and cubes as up_bitmap."""
     if t > _CACHE_T:
         lo, hi, half = _halves(bm, t)
         hi = minimal_bitmap(hi, t - 1) & ~lo
         return minimal_bitmap(lo, t - 1) | hi << half
-    return _minimal_passes(bm, _low_masks(t))
-
-
-def _minimal_passes(bm: int, lows: Iterable[int]) -> int:
     above = 0
-    for i, low in enumerate(lows):
+    for i, low in enumerate(_lows(bm, t)):
         above |= (bm & low) << (1 << i)
     return bm & ~above
-
-
-# Many families on one small cube can travel as one packed int: family h
-# in bytes [h B, (h+1) B), B = _block_bytes(t), so a cube of 2^t < 8 bits
-# is padded to its byte. A pass over element i moves bit S to S + 2^i <
-# 2^t, never out of its block, so the passes of up_bitmap and
-# minimal_bitmap, with each low_i repeated in every block, act on all the
-# families at once. The repeated masks are built per call: t ints as long
-# as the packed one, for cubes up to _CACHE_T.
 
 
 def pack_bitmaps(bitmaps: Iterable[int], t: int) -> int:
@@ -251,25 +254,6 @@ def unpack_bitmaps(bm: int, t: int, n: int) -> list[int]:
     b = _block_bytes(t)
     raw = bm.to_bytes(n * b, "little")
     return [int.from_bytes(raw[i:i + b], "little") for i in range(0, n * b, b)]
-
-
-def _tiled_low_masks(bm: int, t: int) -> list[int]:
-    """_low_masks(t) repeated in every block that bm reaches: each mask
-    times the int with bit 0 of every block set."""
-    b = _block_bytes(t)
-    n = -(-bm.bit_length() // (b << 3))
-    ones = int.from_bytes((b"\x01" + bytes(b - 1)) * n, "little")
-    return [low * ones for low in _low_masks(t)]
-
-
-def packed_up_bitmap(bm: int, t: int) -> int:
-    """up_bitmap of every family of a packed bitmap, in t passes."""
-    return _up_passes(bm, _tiled_low_masks(bm, t))
-
-
-def packed_minimal_bitmap(bm: int, t: int) -> int:
-    """minimal_bitmap of every family of a packed bitmap, in t passes."""
-    return _minimal_passes(bm, _tiled_low_masks(bm, t))
 
 
 def complement_bitmap(bm: int, t: int) -> int:
@@ -435,9 +419,9 @@ class Clutter(SetFamily):
     def _antichain(cls, t: int, masks: Iterable[int],
                    upset_bitmap: int | None = None) -> "Clutter":
         """Clutter of distinct masks in 0..2^t - 1, in any order, that the
-        package built as an antichain (`_minimalize`, `minimal_bitmap` or
-        `packed_minimal_bitmap` output); the antichain test runs only on
-        masks from outside.
+        package built as an antichain (`_minimalize` or `minimal_bitmap`
+        output, of one family or of packed ones); the antichain test runs
+        only on masks from outside.
 
         `upset_bitmap`, the bitmap of the masks' up-closure where the
         caller has it, is kept, and `self_dual` is decided from it at once

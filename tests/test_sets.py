@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import clutters
 from clutters import (
     Clutter,
     GroundSetTooLarge,
@@ -327,3 +330,15 @@ def test_criterion_is_necessary_not_sufficient():
     assert self_dual_criterion(path)
     assert not is_self_dual(path)
     assert blocker(path) == clutter(4, [[1, 3], [2, 3], [2, 4]])
+
+
+def test_modules_import_no_private_name_from_a_sibling():
+    # a private helper stays private to its module; what a sibling needs
+    # gets a public name there
+    found = []
+    for path in sorted(Path(clutters.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level >= 1:
+                found += [f"{path.name}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []
