@@ -268,10 +268,13 @@ def cmd_identities(args) -> int:
 def cmd_enumerate(args) -> int:
     res = enumeration.enumerate_self_dual(args.t)
     if args.out:
-        doc = familyio.format_families(res.items)
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(doc)
+                for start in range(0, res.count, enumeration.CHUNK):
+                    if start:
+                        fh.write("---\n")
+                    keys = res.keys[start:start + enumeration.CHUNK]
+                    fh.write(familyio.format_families(keys, res.t))
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc}") from exc
     summary = f"t={res.t} count={res.count}"

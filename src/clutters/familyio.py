@@ -19,12 +19,13 @@ text is the bulk of a command's work. Neither direction loops over the
 elements of a member in Python. A canonical brace line is read through a
 table from token to bit, and a member is written as two lookups in string
 tables over the low t//2 and the high t - t//2 bits of its mask, built per
-call. `format_families` (the `enumerate --out` document, thousands of
-small families) keeps one table per call and ground set from a mask to
-its whole line, filled from those two on first use, so each family is
-its header and one join. `write_members_json` writes the `--json` form
-of a family, exactly the bytes of `json.dumps(obj, indent=2)` and a
-newline, in chunks of CHUNK members. At t = 20, `upset --list --json` on
+call. `format_families` (the `enumerate --out` document, written a
+chunk of thousands of small families per call) keeps one table per call
+and ground set from a mask to its whole line, filled from those two on
+first use, so each family is its header and one join.
+`write_members_json` writes the `--json` form of a family, exactly the
+bytes of `json.dumps(obj, indent=2)` and a newline, in chunks of CHUNK
+members. At t = 20, `upset --list --json` on
 730,739 members (80 MiB) takes about 1.1 s at 72 MB peak RSS, against
 11 s and 886 MB for `json.dumps` of the member lists (2-vCPU VM,
 CPython 3.11).
@@ -241,15 +242,18 @@ class _Lines(dict):
         return line
 
 
-def format_families(fams: Iterable[SetFamily]) -> str:
+def format_families(fams: Iterable, t: int | None = None) -> str:
     """format_family of each family, joined by `---` lines; each mask's
-    line is made once per document and ground set size."""
+    line is made once per call and ground set size. Each of `fams` is a
+    SetFamily or, where `t` is given, the ascending member masks of a
+    family on E_t (such as an enumeration key)."""
     lines: dict[int, _Lines] = {}
     docs = []
     for f in fams:
-        if f.t not in lines:
-            lines[f.t] = _Lines(f.t)
-        docs.append(f"t: {f.t}\n" + "".join(map(lines[f.t].__getitem__, f.members)))
+        ft, members = (f.t, f.members) if t is None else (t, f)
+        if ft not in lines:
+            lines[ft] = _Lines(ft)
+        docs.append(f"t: {ft}\n" + "".join(map(lines[ft].__getitem__, members)))
     return "---\n".join(docs)
 
 

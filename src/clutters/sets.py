@@ -28,8 +28,10 @@ Minimal members take `_minimalize` on masks (the `Clutter` antichain
 test, `min_elements`, Berge) and `minimal_bitmap` on bitmaps (the dense
 blocker, `Complex.facets`). `minimal_bitmap` and `up_bitmap` also take
 many families on one cube, packed one per block of one int, as the
-enumeration holds its hits. `up_closure` takes any family, whose
-up-closure is that of its minimal members.
+enumeration holds its hits; `star_invariant` certifies and
+`block_layer_counts` counts every block of such an int at once.
+`up_closure` takes any family, whose up-closure is that of its minimal
+members.
 
 Subset inclusion is mask containment: a <= b as sets iff a & ~b == 0, which
 also implies a <= b numerically; canonical order is therefore compatible
@@ -39,6 +41,7 @@ with inclusion (subsets never sort after supersets).
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
@@ -151,14 +154,14 @@ def _halves(bm: int, t: int) -> tuple[int, int, int]:
     return bm & ((1 << half) - 1), bm >> half, half
 
 
-def _block_bytes(t: int) -> int:
+def block_bytes(t: int) -> int:
     """Bytes of a bitmap on 2^[t]: 2^t / 8, and one below t = 3."""
     return max(1, 1 << t >> 3)
 
 
 def bitmap_of(masks: Iterable[int], t: int) -> int:
     """Dense bitmap of a family given by masks in 0..2^t - 1."""
-    buf = bytearray(_block_bytes(t))
+    buf = bytearray(block_bytes(t))
     for m in masks:
         buf[m >> 3] |= 1 << (m & 7)
     return int.from_bytes(buf, "little")
@@ -166,7 +169,7 @@ def bitmap_of(masks: Iterable[int], t: int) -> int:
 
 def members_of(bm: int, t: int) -> tuple[int, ...]:
     """Members of a dense bitmap, ascending; zero bytes are skipped in C."""
-    raw = bm.to_bytes(_block_bytes(t), "little")
+    raw = bm.to_bytes(block_bytes(t), "little")
     bits = _BYTE_BITS
     out: list[int] = []
     for run in _NONZERO_RUN.finditer(raw):
@@ -178,21 +181,27 @@ def members_of(bm: int, t: int) -> tuple[int, ...]:
 
 
 # Many families on one small cube can travel as one packed int: family h
-# in bytes [h B, (h+1) B), B = _block_bytes(t), so a cube of 2^t < 8 bits
+# in bytes [h B, (h+1) B), B = block_bytes(t), so a cube of 2^t < 8 bits
 # is padded to its byte. A pass over element i moves bit S to S + 2^i <
 # 2^t, never out of its block, so up_bitmap and minimal_bitmap act on all
 # the families at once, with each low_i repeated in every block: t ints
 # as long as the packed one, built per call, for cubes up to _CACHE_T.
+# star_bitmap, star_invariant and block_layer_counts take the number of
+# blocks from the caller, since an empty trailing block leaves no bit in
+# the int.
+
+
+def _tiled(masks: tuple[int, ...], t: int, n: int) -> tuple[int, ...] | list[int]:
+    """Masks on one cube 2^[t], each repeated in n packed blocks."""
+    if n <= 1:
+        return masks
+    b = block_bytes(t)
+    return [int.from_bytes(m.to_bytes(b, "little") * n, "little") for m in masks]
 
 
 def _lows(bm: int, t: int) -> tuple[int, ...] | list[int]:
     """_low_masks(t), tiled over the blocks of bm if it has more than one."""
-    b = _block_bytes(t)
-    n = -(-bm.bit_length() // (b << 3))
-    if n <= 1:
-        return _low_masks(t)
-    ones = int.from_bytes((b"\x01" + bytes(b - 1)) * n, "little")
-    return [low * ones for low in _low_masks(t)]
+    return _tiled(_low_masks(t), t, -(-bm.bit_length() // (block_bytes(t) << 3)))
 
 
 def up_bitmap(bm: int, t: int) -> int:
@@ -233,50 +242,50 @@ def minimal_bitmap(bm: int, t: int) -> int:
     return bm & ~above
 
 
-def pack_bitmaps(bitmaps: Iterable[int], t: int) -> int:
-    """Packed bitmap of families given by their bitmaps on 2^[t]."""
-    b = _block_bytes(t)
-    return int.from_bytes(b"".join(bm.to_bytes(b, "little") for bm in bitmaps), "little")
-
-
-def pack_families(families: list[tuple[int, ...]], t: int) -> int:
-    """Packed bitmap of families given by masks, written into one bytearray."""
-    b = _block_bytes(t)
-    buf = bytearray(len(families) * b)
-    for base, masks in zip(range(0, len(buf), b), families):
-        for m in masks:
-            buf[base + (m >> 3)] |= 1 << (m & 7)
-    return int.from_bytes(buf, "little")
-
-
-def unpack_bitmaps(bm: int, t: int, n: int) -> list[int]:
-    """The bitmaps of the first n families of a packed bitmap."""
-    b = _block_bytes(t)
-    raw = bm.to_bytes(n * b, "little")
-    return [int.from_bytes(raw[i:i + b], "little") for i in range(0, n * b, b)]
-
-
 def complement_bitmap(bm: int, t: int) -> int:
     """The family 2^[t] - F."""
     return bm ^ ((1 << (1 << t)) - 1)
 
 
-def star_bitmap(bm: int, t: int) -> int:
-    """F* = {E_t - G : G not in F}: NOT, then reverse the 2^t bits.
+def _words(raw: bytes, b: int) -> array:
+    """raw as an array of its words of min(b, 8) bytes."""
+    return array({1: "B", 2: "H", 4: "I"}.get(b, "Q"), raw)
+
+
+def star_bitmap(bm: int, t: int, n: int = 1) -> int:
+    """F* = {E_t - G : G not in F}: NOT, then reverse the 2^t bits; of
+    each of the n families packed in bm, one by default.
 
     Each byte is complemented and bit-reversed by one table; reading the
-    bytes back big-endian reverses their order.
-    """
-    n = 1 << t
-    if n < 8:
-        return _STAR_BYTE[bm] >> (8 - n)
-    return int.from_bytes(bm.to_bytes(n >> 3, "little").translate(_STAR_BYTE), "big")
+    bytes back big-endian reverses their order. Packed, the bytes of
+    every block are reversed at once, by swapping them within words and
+    the words within blocks."""
+    size = 1 << t
+    if n == 1:
+        if size < 8:
+            return _STAR_BYTE[bm] >> (8 - size)
+        return int.from_bytes(bm.to_bytes(size >> 3, "little").translate(_STAR_BYTE), "big")
+    b = block_bytes(t)
+    table = _STAR_BYTE if size >= 8 else bytes(x >> (8 - size) for x in _STAR_BYTE)
+    words = _words(bm.to_bytes(n * b, "little").translate(table), b)
+    words.byteswap()
+    w = b // words.itemsize
+    for j in range(w >> 1):
+        words[j::w], words[w - 1 - j::w] = words[w - 1 - j::w], words[j::w]
+    return int.from_bytes(words.tobytes(), "little")
 
 
-def star_invariant(bm: int, t: int) -> bool:
-    """F* = F on a bitmap: F holds exactly one set of each complementary
-    pair. For an up-family A^v this is A = B(A), since B(A)^v = (A^v)*."""
-    return star_bitmap(bm, t) == bm
+def star_invariant(bm: int, t: int, n: int = 1) -> bool:
+    """F* = F for each of the n families packed in bm, one by default:
+    each holds exactly one set of each complementary pair. For an
+    up-family A^v this is A = B(A), since B(A)^v = (A^v)*.
+
+    n comes from the caller: an empty block (its star is 2^[t]) fails even
+    at the end of bm, where it leaves no bit, and so does a bit past the
+    n blocks."""
+    if bm < 0 or bm >> (n * block_bytes(t) << 3):
+        return False
+    return star_bitmap(bm, t, n) == bm
 
 
 def layer_counts(bm: int, t: int) -> list[int]:
@@ -288,6 +297,20 @@ def layer_counts(bm: int, t: int) -> list[int]:
             counts[k + 1] += c
         return counts
     return [(bm & lay).bit_count() for lay in _layer_masks(t)]
+
+
+def block_layer_counts(bm: int, t: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Long f-vector of each of the n families packed in bm, t <= _CACHE_T:
+    per size layer one AND with the tiled layer mask and one popcount
+    per word, the words of a block summed."""
+    b = block_bytes(t)
+    layers = []
+    for lay in _tiled(_layer_masks(t), t, n):
+        words = _words((bm & lay).to_bytes(n * b, "little"), b)
+        counts = map(int.bit_count, words)
+        w = b // words.itemsize
+        layers.append(map(sum, zip(*[counts] * w)) if w > 1 else counts)
+    return zip(*layers)
 
 
 def _minimalize(masks: Iterable[int]) -> list[int]:
@@ -416,22 +439,14 @@ class Clutter(SetFamily):
                              f" in {elements_of(above)}")
 
     @classmethod
-    def _antichain(cls, t: int, masks: Iterable[int],
-                   upset_bitmap: int | None = None) -> "Clutter":
+    def _antichain(cls, t: int, masks: Iterable[int]) -> "Clutter":
         """Clutter of distinct masks in 0..2^t - 1, in any order, that the
         package built as an antichain (`_minimalize` or `minimal_bitmap`
-        output, of one family or of packed ones); the antichain test runs
-        only on masks from outside.
-
-        `upset_bitmap`, the bitmap of the masks' up-closure where the
-        caller has it, is kept, and `self_dual` is decided from it at once
-        (`star_invariant`), so neither cached property runs later."""
+        output, or an enumeration key); the antichain test runs only on
+        masks from outside."""
         cl = object.__new__(cls)
         object.__setattr__(cl, "t", t)
         object.__setattr__(cl, "members", tuple(sorted(masks)))
-        if upset_bitmap is not None:
-            cl.__dict__["upset_bitmap"] = upset_bitmap
-            cl.__dict__["self_dual"] = star_invariant(upset_bitmap, t)
         return cl
 
     @property

@@ -38,17 +38,15 @@ from clutters import sets
 from clutters.sets import (
     DENSE_MAX_T,
     bitmap_of,
+    block_layer_counts,
     complement_bitmap,
     down_bitmap,
     full_mask,
     layer_counts,
     members_of,
     minimal_bitmap,
-    pack_bitmaps,
-    pack_families,
     star_bitmap,
     star_invariant,
-    unpack_bitmaps,
     up_bitmap,
 )
 
@@ -250,6 +248,19 @@ def generator_lists(draw):
     return t, draw(st.lists(gens, min_size=1, max_size=40))
 
 
+def pack(bitmaps, t):
+    """Bitmaps of one cube packed one per block: max(8, 2^t) bits each, so
+    a cube of 2^t < 8 bits is padded to its byte."""
+    width = max(8, 1 << t)
+    return sum(bm << h * width for h, bm in enumerate(bitmaps))
+
+
+def unpack(bm, t, n):
+    """The first n blocks of a packed bitmap."""
+    width = max(8, 1 << t)
+    return [bm >> h * width & ((1 << width) - 1) for h in range(n)]
+
+
 @SETTINGS
 @given(generator_lists())
 @example((1, [(), (0,), (1,)]))
@@ -265,24 +276,46 @@ def test_packed_kernels_act_on_each_block(tg):
     width = max(8, 1 << t)
     raw = [bitmap_of(g, t) for g in gens]
     ups = [bitmap_of(oracles.up_family(g, t), t) for g in gens]
-    packed = pack_bitmaps(raw, t)
-    assert packed == pack_families(gens, t) == sum(bm << h * width for h, bm in enumerate(raw))
-    assert unpack_bitmaps(packed, t, n) == raw
-    closed = unpack_bitmaps(up_bitmap(packed, t), t, n)
+    packed = pack(raw, t)
+    assert unpack(packed, t, n) == raw
+    closed = unpack(up_bitmap(packed, t), t, n)
     assert closed == [up_bitmap(bm, t) for bm in raw] == ups
-    mins = minimal_bitmap(pack_bitmaps(ups, t), t)
+    mins = minimal_bitmap(pack(ups, t), t)
     assert mins >> n * width == 0
-    assert unpack_bitmaps(mins, t, n) == [minimal_bitmap(u, t) for u in ups]
-    assert [members_of(m, t) for m in unpack_bitmaps(mins, t, n)] == [
+    assert unpack(mins, t, n) == [minimal_bitmap(u, t) for u in ups]
+    assert [members_of(m, t) for m in unpack(mins, t, n)] == [
         oracles.minimal_members(oracles.up_family(g, t)) for g in gens
     ]
     # re-encoded from its minimal members, each block closes to the same up-family
-    hits = [members_of(m, t) for m in unpack_bitmaps(mins, t, n)]
-    again = up_bitmap(pack_families(hits, t), t)
+    hits = [members_of(m, t) for m in unpack(mins, t, n)]
+    again = up_bitmap(pack([bitmap_of(h, t) for h in hits], t), t)
     assert again >> n * width == 0
-    assert unpack_bitmaps(again, t, n) == ups
+    assert unpack(again, t, n) == ups
+    # every block starred, certified and counted at once, against the tuple oracles
+    stars = [oracles.star(oracles.up_family(g, t), t) for g in gens]
+    assert unpack(star_bitmap(again, t, n), t, n) == [bitmap_of(s, t) for s in stars]
+    fixed = [s == oracles.up_family(g, t) for s, g in zip(stars, gens)]
+    assert star_invariant(again, t, n) == all(fixed)
+    assert list(block_layer_counts(again, t, n)) == [
+        tuple(oracles.f_counts(oracles.up_family(g, t), t)) for g in gens
+    ]
 
 
+@pytest.mark.parametrize("t", range(1, 8))
+def test_packed_star_invariant_tests_every_block(t):
+    # the principal up-sets of {1} and {t} are self-dual; the star of the
+    # empty family is 2^[t], so an empty block fails, also at the end,
+    # where it leaves no bit
+    ok = [up_bitmap(1 << m, t) for m in (1, 1 << (t - 1))]
+    assert star_invariant(pack(ok, t), t, 2)
+    assert star_invariant(pack(ok * 3, t), t, 6)
+    assert not star_invariant(pack(ok, t), t, 3)
+    assert not star_invariant(pack([ok[0], 0, ok[1]], t), t, 3)
+    # a block past the n counted ones, or any one bit flipped, padding too
+    assert not star_invariant(pack(ok * 2, t), t, 3)
+    width = max(8, 1 << t)
+    for bit in range(2 * width):
+        assert not star_invariant(pack(ok, t) ^ 1 << bit, t, 2)
 # --- blocker ---------------------------------------------------------------------
 
 @SETTINGS

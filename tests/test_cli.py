@@ -308,7 +308,7 @@ def test_enumerate_t2_verify(capsys):
 
 
 def test_enumerate_failed_certificate_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(sets, "star_invariant", lambda bm, t: False)
+    monkeypatch.setattr(sets, "star_invariant", lambda bm, t, n=1: False)
     code, out, err = run(capsys, "enumerate", "--t", "3")
     assert code == 1
     assert out == ""
@@ -316,9 +316,11 @@ def test_enumerate_failed_certificate_exits_1(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_enumerate_rejects_t7(capsys):
-    code, _, err = run(capsys, "enumerate", "--t", "7")
+def test_enumerate_rejects_t8(capsys):
+    code, out, err = run(capsys, "enumerate", "--t", "8")
     assert code == 2
+    assert out == ""
+    assert err == "error: full enumeration supported for t <= 7\n"
 
 
 def test_parse_error_exit_code(capsys, write):

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import pytest
@@ -32,7 +33,7 @@ from clutters.sets import SetFamily, bitmap_of, star_invariant, up_bitmap
 from oracles import pruned_self_dual_search
 
 from conftest import (
-    COMPLEX_T4, SIMPLEX_T4, TRIANGLE, clutter, family, not_applicable, self_dual_clutters,
+    COMPLEX_T4, FANO, SIMPLEX_T4, TRIANGLE, clutter, family, not_applicable, self_dual_clutters,
 )
 
 
@@ -108,7 +109,6 @@ def test_no_duplicates_and_certified(enum5):
     for cl in enum5.items:
         assert blocker_dense(cl) == cl
         assert len(up_closure(cl)) == 16
-        # the up-set bitmap kept from the packed closure is the members' own
         assert cl.upset_bitmap == up_bitmap(bitmap_of(cl.members, 5), 5)
 
 
@@ -164,7 +164,9 @@ def test_count_oracle(universes):
 
 def test_rejects_large_t():
     with pytest.raises(GroundSetTooLarge):
-        enumerate_self_dual(7)
+        enumerate_self_dual(8)
+    with pytest.raises(GroundSetTooLarge):
+        verify_universe(8)
 
 
 def test_complex_enumeration_t3_t4(enum4):
@@ -276,28 +278,28 @@ def test_criterion_agrees_on_enumerated(enum5):
 def test_certification_failure_raises_package_error(monkeypatch):
     # a certificate that disagrees with the search must stop the
     # enumeration with NotSelfDual, also under python -O
-    monkeypatch.setattr("clutters.sets.star_invariant", lambda bm, t: False)
+    monkeypatch.setattr("clutters.sets.star_invariant", lambda bm, t, n=1: False)
     with pytest.raises(NotSelfDual, match="certification"):
         enumerate_self_dual(3)
 
 
 def test_each_hit_is_certified_once(monkeypatch):
-    calls = []
+    blocks = []  # blocks certified per call, whether one or many packed ones
 
-    def counted(bm, t):
-        calls.append(t)
-        return star_invariant(bm, t)
+    def counted(bm, t, n=1):
+        blocks.append(n)
+        return star_invariant(bm, t, n)
 
     monkeypatch.setattr("clutters.sets.star_invariant", counted)
     res = enumerate_self_dual(6)
-    assert len(calls) == res.count == 2646
+    assert sum(blocks) == res.count == 2646
     assert verify_universe(6, result=res)["pass"]
-    assert len(calls) == 2646  # verify_universe reads the search's verdicts
+    assert sum(blocks) == 2646  # verify_universe reads the search's certified up-sets
     # a clutter built elsewhere is decided on first read, then cached
     foreign = EnumerationResult(6, tuple(Clutter(6, cl.members) for cl in res.items[:10]))
     assert verify_universe(6, result=foreign)["pass"]
     assert verify_universe(6, result=foreign)["pass"]
-    assert len(calls) == 2656
+    assert sum(blocks) == 2656
 
 
 def test_verify_universe_rejects_a_result_on_another_ground_set(enum4, enum5):
@@ -316,3 +318,60 @@ def test_star_check_failure_raises_package_error(monkeypatch):
     monkeypatch.setattr(enumeration, "is_star_self_dual", lambda cx: False)
     with pytest.raises(NotStarSelfDual, match="star check"):
         enumerate_star_selfdual_complexes(3)
+
+
+def few_self_dual_keys(t):
+    """Keys of a few self-dual clutters on E_t, sorted: the singletons,
+    the triangle and, at t = 7, the Fano plane."""
+    clutters = [clutter(t, [[i]]) for i in range(1, t + 1)]
+    if t >= 3:
+        clutters.append(clutter(t, TRIANGLE))
+    if t == 7:
+        clutters.append(clutter(t, FANO))
+    return sorted(bytes(cl.members) for cl in clutters)
+
+
+@pytest.mark.parametrize("t", range(1, 8))
+def test_a_flipped_bit_in_the_certified_up_sets_names_its_hit(t, monkeypatch):
+    # certification reads the up-sets closed from the keys; one bit flipped
+    # anywhere in one block (a cube at t <= 2 is padded to its byte) must
+    # stop the run and name that block's clutter
+    keys = few_self_dual_keys(t)
+    width = max(8, 1 << t)
+    real = enumeration.up_bitmap
+    res = enumerate_self_dual(t) if t <= 6 else None
+    assert enumeration._certified(t, keys) == real(
+        sum(bitmap_of(key, t) << h * width for h, key in enumerate(keys)), t)
+    for h in (0, len(keys) - 1):
+        name = re.escape(repr(Clutter(t, tuple(keys[h]))))
+        for bit in range(h * width, (h + 1) * width):
+            monkeypatch.setattr(enumeration, "up_bitmap", lambda bm, u: real(bm, u) ^ 1 << bit)
+            with pytest.raises(NotSelfDual, match=name):
+                enumeration._certified(t, keys)
+    if res is not None:
+        # and through the search, whose own closures run on E_(t-1): the
+        # last hit's block is the last of the last chunk
+        flip = (res.count - 1) % enumeration.CHUNK * width
+        monkeypatch.setattr(
+            enumeration, "up_bitmap", lambda bm, u: real(bm, u) ^ (1 << flip if u == t else 0))
+        with pytest.raises(NotSelfDual, match=re.escape(repr(res.items[-1]))):
+            enumerate_self_dual(t)
+
+
+def test_enumeration_builds_no_clutter_until_items_are_read(monkeypatch, tmp_path, capsys):
+    built = []
+    antichain = Clutter._antichain.__func__
+
+    def counted(cls, t, masks):
+        built.append(t)
+        return antichain(cls, t, masks)
+
+    monkeypatch.setattr(Clutter, "_antichain", classmethod(counted))
+    path = tmp_path / "u6.fam"
+    assert main(["enumerate", "--t", "6", "--verify", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == "t=6 count=2646 verified=pass\n"
+    assert built == []
+    res = enumerate_self_dual(5)
+    assert res.count == 81 and verify_universe(5, result=res)["pass"]
+    assert "items" not in res.__dict__ and built == []
+    assert len(res.items) == 81 and len(built) == 81
