@@ -233,21 +233,24 @@ def cmd_identities(args) -> int:
             raise ValueError("give a family file or --random, not both")
         if args.t is None:
             raise ValueError("--random requires --t")
-        if args.n < 1:
-            raise ValueError(f"--n must be at least 1, got {args.n}")
+        n = 1 if args.n is None else args.n
+        seed = 0 if args.seed is None else args.seed
+        if n < 1:
+            raise ValueError(f"--n must be at least 1, got {n}")
         reports = []
-        for i in range(args.n):
-            fam = identities.random_star_selfdual(args.t, args.seed + i)
+        for i in range(n):
+            fam = identities.random_star_selfdual(args.t, seed + i)
             reports.append(identities.check_appendix(fam))
         checks = _aggregate_checks(reports)
         ok = all(v in ("pass", "n/a") for v in checks.values())
-        payload = {"t": args.t, "n": args.n, "seed": args.seed, "checks": checks}
-        header = f"t: {args.t}  n: {args.n}  seed: {args.seed}"
+        payload = {"t": args.t, "n": n, "seed": seed, "checks": checks}
+        header = f"t: {args.t}  n: {n}  seed: {seed}"
     else:
         if not args.file:
             raise ValueError("need a family file or --random")
-        if args.t is not None:
-            raise ValueError("--t requires --random")
+        for flag in ("t", "n", "seed"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} requires --random")
         report = identities.check_appendix(_family(args.file))
         checks = report["checks"]
         ok = report["pass"]
@@ -346,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?")
     p.add_argument("--random", action="store_true")
     p.add_argument("--t", type=int)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int)  # with --random only; 1 if not given
+    p.add_argument("--seed", type=int)  # with --random only; 0 if not given
     p.add_argument("--json", action="store_true")
 
     p = add("enumerate", cmd_enumerate, help="all self-dual clutters on E_t")

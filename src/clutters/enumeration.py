@@ -29,13 +29,15 @@ takes t shift-or passes over the whole chunk. Each hit's minimal members
 become one `bytes` key, its member masks ascending, built from one table
 per byte position of a block, filled on first use. Every mask is below
 2^t <= 128, so byte order is member-tuple order and sorting the keys
-gives the canonical order. Every hit is then certified from its key, not
-from the search's bitmap: a chunk of keys is re-encoded into a fresh
-packed bitmap, closed upward, and every block of it is tested for
-B(A)^v = (A^v)* = A^v by one `sets.star_invariant` call; only when that
-fails are the blocks tested one by one, to name the hit. The certified
-up-sets stay packed for `verify_universe`, whose f-vector tally reads
-them with `sets.block_layer_counts`. At t = 7 (1,422,564 hits),
+gives the canonical order. Self-duality is certified in one place, the
+`EnumerationResult` constructor, from keys alone, so search hits and
+clutters from elsewhere pass one test that trusts no search bitmap: a
+chunk of keys is re-encoded into a fresh packed bitmap, closed upward,
+and every block of it is tested for B(A)^v = (A^v)* = A^v by one
+`sets.star_invariant` call; only when that fails are the blocks tested
+one by one, to name the clutter. The certified up-sets stay packed for
+`verify_universe`, whose f-vector tally reads them with
+`sets.block_layer_counts`. At t = 7 (1,422,564 hits),
 `enumerate --verify` took 10.5 s at 131 MB peak RSS (2-vCPU VM,
 CPython 3.11).
 """
@@ -72,28 +74,37 @@ CHUNK = 1 << 14
 
 
 class EnumerationResult:
-    """The families of an enumeration on E_t, ascending by members.
+    """Self-dual clutters on E_t, 1 <= t <= MAX_ENUM_T, certified when made.
 
-    `enumerate_self_dual` keeps each clutter as its key, the bytes of its
-    member masks in ascending order, and the certified up-sets packed
-    CHUNK blocks per int in key order (`upsets`); `items` builds the
-    Clutters from the keys on first read, and `count` reads the keys.
-    Any other result is `EnumerationResult(t, items)`, with no keys.
+    Each clutter is its key, the bytes of its member masks ascending, and
+    `upsets` packs their up-sets CHUNK blocks per int in key order. The
+    constructor certifies them with `_certified`, so whatever reads a
+    result, such as `verify_universe`, gets certified clutters wherever
+    they came from. `enumerate_self_dual` passes its sorted keys;
+    `EnumerationResult(t, clutters)` takes Clutters on E_t (ValueError
+    otherwise) in their given order. `items` builds the Clutters from the
+    keys on first read.
     """
 
-    def __init__(self, t: int, items: tuple = (), keys: list[bytes] | None = None,
-                 upsets: list[int] | None = None):
-        self.t, self.keys, self.upsets = t, keys, upsets
+    def __init__(self, t: int, items: tuple[Clutter, ...] = (), keys: list[bytes] | None = None):
+        _check_enum_t(t)
         if keys is None:
-            self.items = tuple(items)
+            items = tuple(items)
+            # a certificate reads up-sets, and a non-antichain such as
+            # {{1}, {1,2}} can have a star-invariant one
+            if not all(isinstance(cl, Clutter) and cl.t == t for cl in items):
+                raise ValueError(f"enumeration result is not on E_{t}")
+            keys = [bytes(cl.members) for cl in items]
+        self.t, self.keys = t, keys
+        self.upsets = [_certified(t, keys[i:i + CHUNK]) for i in range(0, len(keys), CHUNK)]
 
     @cached_property
-    def items(self) -> tuple:
+    def items(self) -> tuple[Clutter, ...]:
         return tuple(Clutter._antichain(self.t, key) for key in self.keys)
 
     @property
     def count(self) -> int:
-        return len(self.items) if self.keys is None else len(self.keys)
+        return len(self.keys)
 
 
 def _check_enum_t(t: int) -> None:
@@ -126,9 +137,8 @@ def _certified(t: int, keys: list[bytes]) -> int:
         raw = up.to_bytes(len(keys) * b, "little")
         for h, key in enumerate(keys):
             if not sets.star_invariant(int.from_bytes(raw[h * b:(h + 1) * b], "little"), t):
-                raise NotSelfDual(f"search hit {Clutter._antichain(t, key)!r}"
-                                  " failed blocker certification")
-        raise NotSelfDual(f"a chunk of {len(keys)} search hits failed blocker certification")
+                raise NotSelfDual(f"{Clutter._antichain(t, key)!r} failed blocker certification")
+        raise NotSelfDual(f"a chunk of {len(keys)} clutters failed blocker certification")
     return up
 
 
@@ -177,8 +187,7 @@ def enumerate_self_dual(t: int) -> EnumerationResult:
     rec(0, 0)
     flush()
     keys.sort()
-    upsets = [_certified(t, keys[i:i + CHUNK]) for i in range(0, len(keys), CHUNK)]
-    return EnumerationResult(t, keys=keys, upsets=upsets)
+    return EnumerationResult(t, keys=keys)
 
 
 def complement_complex(u: SetFamily) -> Complex:
@@ -186,50 +195,38 @@ def complement_complex(u: SetFamily) -> Complex:
     return Complex(SetFamily.from_bitmap(u.t, complement_bitmap(u.bitmap, u.t)))
 
 
-def enumerate_star_selfdual_complexes(t: int) -> EnumerationResult:
-    """Images of the self-dual clutters under A -> 2^[t] - A^v; every
-    output is independently re-verified to satisfy star(D) = D."""
-    res = enumerate_self_dual(t)
+def enumerate_star_selfdual_complexes(t: int) -> tuple[Complex, ...]:
+    """The complexes 2^[t] - A^v of the self-dual clutters A on E_t, in
+    their order. Each is re-verified to satisfy star(D) = D, a check
+    independent of the certificate on A^v."""
     complexes = []
-    for cl in res.items:
+    for cl in enumerate_self_dual(t).items:
         cx = complement_complex(up_closure(cl))
         if not is_star_self_dual(cx):
             raise NotStarSelfDual(f"bijection image of {cl!r} failed the star check")
         complexes.append(cx)
-    return EnumerationResult(t, tuple(complexes))
+    return tuple(complexes)
 
 
 def verify_universe(t: int, result: EnumerationResult | None = None) -> dict:
     """Run the full verification harness over every enumerated clutter.
 
-    Each clutter A is certified once: by `enumerate_self_dual`, or for
-    any other result by `Clutter.self_dual` on first read (NotSelfDual
-    otherwise). The rest reads only the f-vector of A^v, tallied over
-    the packed up-sets by `sets.block_layer_counts`, so it runs once per
-    distinct f-vector (2,646 clutters at t = 6 have 7), counted with its
+    An EnumerationResult is certified when it is made, so this reads only
+    the f-vector of each A^v, tallied over the packed up-sets by
+    `sets.block_layer_counts`, and runs the checks once per distinct
+    f-vector (2,646 clutters at t = 6 have 7), counted with its
     multiplicity: theorem3 bounds, lemma2 bounds on the complement
     complex 2^[t] - A^v (f-vector C(t,k) - f_k) and the appendix
     identities, at every t. Failures are report content, not errors. A
-    precomputed enumeration on E_t (ValueError otherwise) may be passed
-    to avoid repeating the search; t must be in 1..MAX_ENUM_T.
+    precomputed result on E_t (ValueError otherwise) may be passed to
+    avoid repeating the search; t must be in 1..MAX_ENUM_T.
     """
     _check_enum_t(t)
     res = result if result is not None else enumerate_self_dual(t)
     if res.t != t:
         raise ValueError(f"enumeration result is not on E_{t}")
-    upsets = res.upsets
-    if upsets is None:
-        if any(cl.t != t for cl in res.items):
-            raise ValueError(f"enumeration result is not on E_{t}")
-        for cl in res.items:
-            if not cl.self_dual:
-                raise NotSelfDual(f"enumerated {cl!r} does not equal its blocker")
-        b = block_bytes(t)
-        upsets = [int.from_bytes(b"".join(cl.upset_bitmap.to_bytes(b, "little")
-                                          for cl in res.items[i:i + CHUNK]), "little")
-                  for i in range(0, res.count, CHUNK)]
     tally: Counter[tuple[int, ...]] = Counter()
-    for i, up in enumerate(upsets):
+    for i, up in enumerate(res.upsets):
         tally.update(block_layer_counts(up, t, min(CHUNK, res.count - i * CHUNK)))
     t3, l2 = theorem3_table(t), lemma2_table(t)
     passed = dict.fromkeys(("theorem3", "lemma2", "appendix"), 0)

@@ -20,9 +20,9 @@ elements of a member in Python. A canonical brace line is read through a
 table from token to bit, and a member is written as two lookups in string
 tables over the low t//2 and the high t - t//2 bits of its mask, built per
 call. `format_families` (the `enumerate --out` document, written a
-chunk of thousands of small families per call) keeps one table per call
-and ground set from a mask to its whole line, filled from those two on
-first use, so each family is its header and one join.
+chunk of thousands of small families on one ground set per call) keeps
+one table per call from a mask to its whole line, filled from those two
+on first use, so each family is its header and one join.
 `write_members_json` writes the `--json` form of a family, exactly the
 bytes of `json.dumps(obj, indent=2)` and a newline, in chunks of CHUNK
 members. At t = 20, `upset --list --json` on
@@ -242,19 +242,13 @@ class _Lines(dict):
         return line
 
 
-def format_families(fams: Iterable, t: int | None = None) -> str:
-    """format_family of each family, joined by `---` lines; each mask's
-    line is made once per call and ground set size. Each of `fams` is a
-    SetFamily or, where `t` is given, the ascending member masks of a
-    family on E_t (such as an enumeration key)."""
-    lines: dict[int, _Lines] = {}
-    docs = []
-    for f in fams:
-        ft, members = (f.t, f.members) if t is None else (t, f)
-        if ft not in lines:
-            lines[ft] = _Lines(ft)
-        docs.append(f"t: {ft}\n" + "".join(map(lines[ft].__getitem__, members)))
-    return "---\n".join(docs)
+def format_families(keys: Iterable[Iterable[int]], t: int) -> str:
+    """format_family of each family on E_t, given as its ascending member
+    masks (such as an enumeration key), joined by `---` lines; each mask's
+    line is made once per call."""
+    lines = _Lines(t)
+    head = f"t: {t}\n"
+    return "---\n".join([head + "".join(map(lines.__getitem__, members)) for members in keys])
 
 
 def write_members_json(obj: dict, f: SetFamily, out: TextIO) -> None:

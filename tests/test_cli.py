@@ -254,6 +254,13 @@ def test_identities_requires_t_with_random(capsys):
 @pytest.mark.parametrize("flags, message", [
     (("--random", "--t", "4"), "give a family file or --random, not both"),
     (("--t", "8"), "--t requires --random"),
+    # --n and --seed choose random families; on a file they are rejected,
+    # not ignored, even at their --random defaults
+    (("--n", "0"), "--n requires --random"),
+    (("--n", "5"), "--n requires --random"),
+    (("--n", "1"), "--n requires --random"),
+    (("--seed", "9"), "--seed requires --random"),
+    (("--seed", "0", "--json"), "--seed requires --random"),
 ])
 def test_identities_rejects_conflicting_input(capsys, write, flags, message):
     path = write("f10.fam", format_family(random_star_selfdual(10, 1).family))
@@ -261,6 +268,16 @@ def test_identities_rejects_conflicting_input(capsys, write, flags, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: {message}\n"
+
+
+def test_identities_random_defaults_to_one_family_from_seed_0(capsys):
+    for json_flag in ((), ("--json",)):
+        given = run(capsys, "identities", "--random", "--t", "6", *json_flag)
+        assert given[0] == 0 and given[2] == ""
+        assert given == run(
+            capsys, "identities", "--random", "--t", "6", "--n", "1", "--seed", "0", *json_flag)
+    assert json.loads(given[1])["n"] == 1 and json.loads(given[1])["seed"] == 0
+    assert run(capsys, "identities", "--random", "--t", "6")[1].startswith("t: 6  n: 1  seed: 0\n")
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -170,14 +170,15 @@ def test_rejects_large_t():
 
 
 def test_complex_enumeration_t3_t4(enum4):
-    res3 = enumerate_star_selfdual_complexes(3)
-    assert res3.count == 4
-    res4 = enumerate_star_selfdual_complexes(4)
-    assert res4.count == enum4.count == 12
-    families = {c.family for c in res4.items}
+    assert len(enumerate_star_selfdual_complexes(3)) == 4
+    complexes = enumerate_star_selfdual_complexes(4)
+    assert isinstance(complexes, tuple) and len(complexes) == enum4.count == 12
+    # one complex per clutter, in the clutters' order
+    assert complexes == tuple(complement_complex(up_closure(cl)) for cl in enum4.items)
+    families = {c.family for c in complexes}
     assert family(4, COMPLEX_T4) in families
     assert family(4, SIMPLEX_T4) in families
-    for c in res4.items:
+    for c in complexes:
         assert is_star_self_dual(c)
 
 
@@ -216,11 +217,15 @@ def test_verify_universe_t4(enum4):
     assert report["appendix"] == {"passed": 12, "failed": 0}
 
 
-def test_verify_universe_matches_per_clutter_reference(enum4, enum5, enum6):
-    results = {4: enum4, 5: enum5, 6: enum6}
-    for t in range(1, 7):
-        res = results.get(t) or enumerate_self_dual(t)
-        assert verify_universe(t, result=res) == oracles.verify_universe(t, res)
+@pytest.fixture(scope="module")
+def reference_reports(universes):
+    """oracles.verify_universe for t = 1..6, clutter by clutter, by t."""
+    return {res.t: oracles.verify_universe(res.t, res) for res in universes}
+
+
+def test_verify_universe_matches_per_clutter_reference(universes, reference_reports):
+    for res in universes:
+        assert verify_universe(res.t, result=res) == reference_reports[res.t]
 
 
 @pytest.mark.parametrize("t, sets", [
@@ -295,7 +300,7 @@ def test_each_hit_is_certified_once(monkeypatch):
     assert sum(blocks) == res.count == 2646
     assert verify_universe(6, result=res)["pass"]
     assert sum(blocks) == 2646  # verify_universe reads the search's certified up-sets
-    # a clutter built elsewhere is decided on first read, then cached
+    # clutters built elsewhere are certified when their result is made, once
     foreign = EnumerationResult(6, tuple(Clutter(6, cl.members) for cl in res.items[:10]))
     assert verify_universe(6, result=foreign)["pass"]
     assert verify_universe(6, result=foreign)["pass"]
@@ -305,19 +310,82 @@ def test_each_hit_is_certified_once(monkeypatch):
 def test_verify_universe_rejects_a_result_on_another_ground_set(enum4, enum5):
     with pytest.raises(ValueError, match="not on E_4"):
         verify_universe(4, result=enum5)
-    with pytest.raises(ValueError, match="not on E_6"):
-        verify_universe(6, result=EnumerationResult(6, enum5.items))
     with pytest.raises(ValueError, match="not on E_5"):
-        verify_universe(5, result=EnumerationResult(5, enum5.items + enum4.items[:1]))
+        verify_universe(5, result=EnumerationResult(4, enum4.items))
     # the count is the items', not a second copy that could disagree
     report = verify_universe(4, result=EnumerationResult(4, enum4.items))
     assert report["count"] == 12 and report["pass"]
+
+
+@pytest.mark.parametrize("t, items", [
+    (6, lambda enum4, enum5: enum5.items),
+    (5, lambda enum4, enum5: enum5.items + enum4.items[:1]),
+    # not Clutters: a certificate that reads up-sets cannot tell them apart,
+    # since the non-antichain {{1}, {1,2}} has a star-invariant up-set
+    (2, lambda enum4, enum5: (SetFamily(2, (1, 3)),)),
+    (4, lambda enum4, enum5: (SetFamily(4, enum4.items[0].members),)),
+    (5, lambda enum4, enum5: enum5.items[:3] + (up_closure(enum5.items[3]),)),
+])
+def test_result_holds_only_clutters_on_its_ground_set(t, items, enum4, enum5):
+    with pytest.raises(ValueError, match=f"not on E_{t}"):
+        EnumerationResult(t, items(enum4, enum5))
+
+
+def test_result_certifies_at_construction(enum4, enum5):
+    for t in (0, 8):
+        with pytest.raises(GroundSetTooLarge):
+            EnumerationResult(t, ())
+    path = clutter(5, [[1, 2], [2, 3], [3, 4]])
+    for bad in (path, clutter(5, [[1, 2, 3, 4, 5]])):
+        # the first clutter that fails is named, wherever it is
+        with pytest.raises(NotSelfDual, match=re.escape(repr(bad))):
+            EnumerationResult(5, enum5.items[:40] + (bad, path) + enum5.items[40:])
+    # items keep their given order, and so do the keys and packed up-sets
+    given = enum5.items[::-1]
+    res = EnumerationResult(5, given)
+    assert res.items == given and res.count == 81
+    assert res.keys == enum5.keys[::-1]
+    assert res.upsets == [sum(cl.upset_bitmap << 32 * h for h, cl in enumerate(given))]
+    assert EnumerationResult(4, (), keys=enum4.keys).items == enum4.items
 
 
 def test_star_check_failure_raises_package_error(monkeypatch):
     monkeypatch.setattr(enumeration, "is_star_self_dual", lambda cx: False)
     with pytest.raises(NotStarSelfDual, match="star check"):
         enumerate_star_selfdual_complexes(3)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunk_seams(chunk, monkeypatch, tmp_path, capsys, pruned_hits, reference_reports):
+    # t <= 6 fits one CHUNK, so the seams between packed chunks are tested
+    # with small ones: every hit is certified once, in its own block
+    blocks = []
+
+    def counted(bm, t, n=1):
+        blocks.append(n)
+        return star_invariant(bm, t, n)
+
+    monkeypatch.setattr(enumeration, "CHUNK", chunk)
+    monkeypatch.setattr("clutters.sets.star_invariant", counted)
+    for t in (4, 5, 6):
+        path = tmp_path / f"u{t}.fam"
+        assert main(["enumerate", "--t", str(t), "--verify", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == f"t={t} count={len(pruned_hits[t])} verified=pass\n"
+        want = "---\n".join(oracles.format_family(t, m) for m in sorted(pruned_hits[t]))
+        assert path.read_bytes() == want.encode()
+        blocks.clear()
+        res = enumerate_self_dual(t)
+        assert len(res.upsets) == -(-res.count // chunk) > 1
+        assert sum(blocks) == res.count
+        assert verify_universe(t, result=res) == reference_reports[t]
+        # clutters from outside, in another order, are certified across chunks
+        given = EnumerationResult(t, res.items[::-1])
+        assert sum(blocks) == 2 * res.count
+        assert given.keys == res.keys[::-1]
+        assert verify_universe(t, result=given) == reference_reports[t]
+        bad = clutter(t, [[1, 2], [2, 3], [3, 4]])
+        with pytest.raises(NotSelfDual, match=re.escape(repr(bad))):
+            EnumerationResult(t, res.items[:-1] + (bad,) + res.items[-1:])
 
 
 def few_self_dual_keys(t):

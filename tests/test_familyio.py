@@ -115,16 +115,21 @@ def test_format_is_canonical_and_roundtrips():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(families(), min_size=1, max_size=4), families())
 def test_format_families_roundtrip(tms, tm):
-    # one document on two ground sets, with a family holding {}
+    # one document on two ground sets, with a family holding {}: the
+    # member-by-member oracle writes it and the parser reads it back
     t, members = tm
     other = t % 8 + 1
     tms = tms + [(t, tuple(sorted({0, *members}))), (other, members[:1]), (t, members)]
     tms = [(s, tuple(m for m in ms if m >> s == 0)) for s, ms in tms]
     fams = [SetFamily(*tm) for tm in tms]
-    text = format_families(fams)
-    assert text == "---\n".join(oracles.format_family(s, ms) for s, ms in tms)
-    docs = parse_families(text)
+    docs = parse_families("---\n".join(oracles.format_family(s, ms) for s, ms in tms))
     assert [p.family() for p in docs] == fams
+    # format_families writes the families of one ground set at a time
+    for s in {s for s, _ in tms}:
+        keys = [ms for u, ms in tms if u == s]
+        text = format_families(keys, s)
+        assert text == "---\n".join(oracles.format_family(s, ms) for ms in keys)
+        assert [p.family() for p in parse_families(text)] == [SetFamily(s, ms) for ms in keys]
 
 
 def test_roundtrip_idempotence():
@@ -155,7 +160,7 @@ def test_writers_match_member_loops(tm, with_empty_set, chunk):
     with mock.patch.object(familyio, "CHUNK", chunk):
         assert format_family(f) == oracles.format_family(t, members)
         other = SetFamily(t, members[::2])
-        assert format_families([f, other]) == "---\n".join(
+        assert format_families([f.members, other.members], t) == "---\n".join(
             [oracles.format_family(t, members), oracles.format_family(t, members[::2])]
         )
         assert _json({"t": t}, f) == oracles.members_json({"t": t}, members)
