@@ -273,17 +273,16 @@ def cmd_enumerate(args) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                for start in range(0, res.count, enumeration.CHUNK):
-                    if start:
+                for i, (keys, _) in enumerate(res.chunks()):
+                    if i:
                         fh.write("---\n")
-                    keys = res.keys[start:start + enumeration.CHUNK]
                     fh.write(familyio.format_families(keys, res.t))
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc}") from exc
     summary = f"t={res.t} count={res.count}"
     ok = True
     if args.verify:
-        ok = enumeration.verify_universe(args.t, result=res)["pass"]
+        ok = enumeration.verify_universe(res)["pass"]
         summary += f" verified={'pass' if ok else 'fail'}"
     print(summary)
     if not ok:

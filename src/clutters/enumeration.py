@@ -35,9 +35,10 @@ clutters from elsewhere pass one test that trusts no search bitmap: a
 chunk of keys is re-encoded into a fresh packed bitmap, closed upward,
 and every block of it is tested for B(A)^v = (A^v)* = A^v by one
 `sets.star_invariant` call; only when that fails are the blocks tested
-one by one, to name the clutter. The certified up-sets stay packed for
-`verify_universe`, whose f-vector tally reads them with
-`sets.block_layer_counts`. At t = 7 (1,422,564 hits),
+one by one, to name the clutter. The certified up-sets stay packed, and
+every reader walks them through `EnumerationResult.chunks`, which pairs
+each packed int with its chunk's keys, so a block count comes from the
+keys and never from CHUNK. At t = 7 (1,422,564 hits),
 `enumerate --verify` took 10.5 s at 131 MB peak RSS (2-vCPU VM,
 CPython 3.11).
 """
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from typing import Iterator
 
 from . import sets  # sets.star_invariant is read at call time
 from .complexes import Complex, is_star_self_dual
@@ -57,12 +59,10 @@ from .sets import (
     SetFamily,
     block_bytes,
     block_layer_counts,
-    check_ground_set,
     complement_bitmap,
     minimal_bitmap,
     star_bitmap,
     up_bitmap,
-    up_closure,
 )
 from .vectors import FVector, binom
 
@@ -77,13 +77,12 @@ class EnumerationResult:
     """Self-dual clutters on E_t, 1 <= t <= MAX_ENUM_T, certified when made.
 
     Each clutter is its key, the bytes of its member masks ascending, and
-    `upsets` packs their up-sets CHUNK blocks per int in key order. The
-    constructor certifies them with `_certified`, so whatever reads a
-    result, such as `verify_universe`, gets certified clutters wherever
-    they came from. `enumerate_self_dual` passes its sorted keys;
-    `EnumerationResult(t, clutters)` takes Clutters on E_t (ValueError
-    otherwise) in their given order. `items` builds the Clutters from the
-    keys on first read.
+    `upsets` packs their up-sets `chunk` blocks per int in key order. The
+    constructor certifies them with `_certified`, so every reader gets
+    certified clutters wherever they came from. `enumerate_self_dual`
+    passes its sorted keys; `EnumerationResult(t, clutters)` takes
+    Clutters on E_t (ValueError otherwise) in their given order. `items`
+    builds the Clutters from the keys on first read.
     """
 
     def __init__(self, t: int, items: tuple[Clutter, ...] = (), keys: list[bytes] | None = None):
@@ -95,8 +94,14 @@ class EnumerationResult:
             if not all(isinstance(cl, Clutter) and cl.t == t for cl in items):
                 raise ValueError(f"enumeration result is not on E_{t}")
             keys = [bytes(cl.members) for cl in items]
-        self.t, self.keys = t, keys
+        self.t, self.keys, self.chunk = t, keys, CHUNK
         self.upsets = [_certified(t, keys[i:i + CHUNK]) for i in range(0, len(keys), CHUNK)]
+
+    def chunks(self) -> Iterator[tuple[list[bytes], int]]:
+        """Each chunk's keys, sliced from `keys` only when reached, with its
+        certified packed up-set: one block per key, in order."""
+        for i, up in enumerate(self.upsets):
+            yield self.keys[i * self.chunk:(i + 1) * self.chunk], up
 
     @cached_property
     def items(self) -> tuple[Clutter, ...]:
@@ -108,9 +113,8 @@ class EnumerationResult:
 
 
 def _check_enum_t(t: int) -> None:
-    check_ground_set(t)
-    if t > MAX_ENUM_T:
-        raise GroundSetTooLarge(f"full enumeration supported for t <= {MAX_ENUM_T}")
+    if not 1 <= t <= MAX_ENUM_T:
+        raise GroundSetTooLarge(f"full enumeration supported for 1 <= t <= {MAX_ENUM_T}, got {t}")
 
 
 class _KeyBytes(dict):
@@ -126,6 +130,13 @@ class _KeyBytes(dict):
         return key
 
 
+def _blocks(bm: int, t: int, n: int) -> Iterator[int]:
+    """The n blocks of a packed bitmap, each as its own bitmap on 2^[t]."""
+    b = block_bytes(t)
+    raw = bm.to_bytes(n * b, "little")
+    return (int.from_bytes(raw[i:i + b], "little") for i in range(0, n * b, b))
+
+
 def _certified(t: int, keys: list[bytes]) -> int:
     """The up-sets of the clutters with these keys, packed, from the keys
     alone; NotSelfDual names the first whose up-set is not star-invariant."""
@@ -134,9 +145,8 @@ def _certified(t: int, keys: list[bytes]) -> int:
     packed = b"".join(sum(map(bit.__getitem__, key)).to_bytes(b, "little") for key in keys)
     up = up_bitmap(int.from_bytes(packed, "little"), t)
     if not sets.star_invariant(up, t, len(keys)):
-        raw = up.to_bytes(len(keys) * b, "little")
-        for h, key in enumerate(keys):
-            if not sets.star_invariant(int.from_bytes(raw[h * b:(h + 1) * b], "little"), t):
+        for key, block in zip(keys, _blocks(up, t, len(keys))):
+            if not sets.star_invariant(block, t):
                 raise NotSelfDual(f"{Clutter._antichain(t, key)!r} failed blocker certification")
         raise NotSelfDual(f"a chunk of {len(keys)} clutters failed blocker certification")
     return up
@@ -197,37 +207,35 @@ def complement_complex(u: SetFamily) -> Complex:
 
 def enumerate_star_selfdual_complexes(t: int) -> tuple[Complex, ...]:
     """The complexes 2^[t] - A^v of the self-dual clutters A on E_t, in
-    their order. Each is re-verified to satisfy star(D) = D, a check
-    independent of the certificate on A^v."""
+    their order, each the complement of a certified up-set block. Each is
+    re-verified to satisfy star(D) = D, a check independent of the
+    certificate on A^v."""
     complexes = []
-    for cl in enumerate_self_dual(t).items:
-        cx = complement_complex(up_closure(cl))
-        if not is_star_self_dual(cx):
-            raise NotStarSelfDual(f"bijection image of {cl!r} failed the star check")
-        complexes.append(cx)
+    for keys, up in enumerate_self_dual(t).chunks():
+        for key, block in zip(keys, _blocks(up, t, len(keys))):
+            cx = complement_complex(SetFamily.from_bitmap(t, block))
+            if not is_star_self_dual(cx):
+                cl = Clutter._antichain(t, key)
+                raise NotStarSelfDual(f"bijection image of {cl!r} failed the star check")
+            complexes.append(cx)
     return tuple(complexes)
 
 
-def verify_universe(t: int, result: EnumerationResult | None = None) -> dict:
-    """Run the full verification harness over every enumerated clutter.
+def verify_universe(res: EnumerationResult) -> dict:
+    """Run the full verification harness over every clutter of a result.
 
-    An EnumerationResult is certified when it is made, so this reads only
-    the f-vector of each A^v, tallied over the packed up-sets by
-    `sets.block_layer_counts`, and runs the checks once per distinct
+    A result is certified when it is made, so this reads only the
+    f-vector of each A^v, tallied chunk by chunk over one block per key
+    by `sets.block_layer_counts`, and runs the checks once per distinct
     f-vector (2,646 clutters at t = 6 have 7), counted with its
     multiplicity: theorem3 bounds, lemma2 bounds on the complement
     complex 2^[t] - A^v (f-vector C(t,k) - f_k) and the appendix
-    identities, at every t. Failures are report content, not errors. A
-    precomputed result on E_t (ValueError otherwise) may be passed to
-    avoid repeating the search; t must be in 1..MAX_ENUM_T.
+    identities, at every t. Failures are report content, not errors.
     """
-    _check_enum_t(t)
-    res = result if result is not None else enumerate_self_dual(t)
-    if res.t != t:
-        raise ValueError(f"enumeration result is not on E_{t}")
+    t = res.t
     tally: Counter[tuple[int, ...]] = Counter()
-    for i, up in enumerate(res.upsets):
-        tally.update(block_layer_counts(up, t, min(CHUNK, res.count - i * CHUNK)))
+    for keys, up in res.chunks():
+        tally.update(block_layer_counts(up, t, len(keys)))
     t3, l2 = theorem3_table(t), lemma2_table(t)
     passed = dict.fromkeys(("theorem3", "lemma2", "appendix"), 0)
     for f, n in tally.items():

@@ -20,9 +20,9 @@ elements of a member in Python. A canonical brace line is read through a
 table from token to bit, and a member is written as two lookups in string
 tables over the low t//2 and the high t - t//2 bits of its mask, built per
 call. `format_families` (the `enumerate --out` document, written a
-chunk of thousands of small families on one ground set per call) keeps
-one table per call from a mask to its whole line, filled from those two
-on first use, so each family is its header and one join.
+chunk of thousands of small families on one ground set per call) writes
+the line of each mask the chunk holds once, from those two tables, so
+each family is its header and one join.
 `write_members_json` writes the `--json` form of a family, exactly the
 bytes of `json.dumps(obj, indent=2)` and a newline, in chunks of CHUNK
 members. At t = 20, `upset --list --json` on
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .sets import MAX_T, SetFamily, mask_of
 
@@ -225,28 +225,14 @@ def format_family(f: SetFamily) -> str:
     return "".join([f"t: {f.t}\n", *_member_chunks(f.members, rows, _TEXT)])
 
 
-class _Lines(dict):
-    """Table from a mask on E_t to its canonical line, `{i,j,...}` and a
-    newline. Entries are made on first use from two half-word `_Elements`
-    tables, the ones `_member_rows` reads."""
-
-    def __init__(self, t: int):
-        super().__init__()
-        self.half = t // 2
-        self.low = (1 << self.half) - 1
-        self.lo, self.hi = _Elements(",", 0), _Elements(",", self.half)
-
-    def __missing__(self, mask: int) -> str:
-        elements = self.lo[mask & self.low] + self.hi[mask >> self.half]
-        line = self[mask] = "{" + elements[1:] + "}\n"
-        return line
-
-
-def format_families(keys: Iterable[Iterable[int]], t: int) -> str:
+def format_families(keys: Sequence[Sequence[int]], t: int) -> str:
     """format_family of each family on E_t, given as its ascending member
-    masks (such as an enumeration key), joined by `---` lines; each mask's
-    line is made once per call."""
-    lines = _Lines(t)
+    masks (such as an enumeration key), joined by `---` lines. A chunk
+    holds thousands of small families over few distinct masks, so each
+    mask that occurs gets its line once per call, from `_member_rows`,
+    and each family is its header and one join."""
+    masks = set().union(*keys)
+    lines = {m: "{" + e[1:] + "}\n" for m, e in zip(masks, _member_rows(t, _TEXT)(masks))}
     head = f"t: {t}\n"
     return "---\n".join([head + "".join(map(lines.__getitem__, members)) for members in keys])
 

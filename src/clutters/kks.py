@@ -116,15 +116,13 @@ class BoundRow:
 
 @dataclass(frozen=True)
 class BoundTable:
-    """Per-index constraints plus the mirror-pair sums: with m = ceil(t/2),
-    offset o = 1..m-1 requires f_(m-o) + f_(t-m+o) = C(t, m-o)."""
+    """Per-index constraints, `rows[k]` on f_k, plus the mirror-pair sums:
+    with m = ceil(t/2), offset o = 1..m-1 requires
+    f_(m-o) + f_(t-m+o) = C(t, m-o)."""
 
     t: int
     rows: tuple[BoundRow, ...]
     pair_sums: tuple[tuple[int, int], ...]  # (offset, required sum)
-
-    def row(self, k: int) -> BoundRow:
-        return self.rows[k]
 
 
 def _bound_table(t: int, bound: Callable[[int], int], below: str) -> BoundTable:

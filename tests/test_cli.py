@@ -337,7 +337,16 @@ def test_enumerate_rejects_t8(capsys):
     code, out, err = run(capsys, "enumerate", "--t", "8")
     assert code == 2
     assert out == ""
-    assert err == "error: full enumeration supported for t <= 7\n"
+    assert err == "error: full enumeration supported for 1 <= t <= 7, got 8\n"
+
+
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_enumerate_rejects_t_below_one(capsys, t):
+    # one message for both ends of the range, not the ground-set limit 1..62
+    code, out, err = run(capsys, "enumerate", "--t", t)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: full enumeration supported for 1 <= t <= 7, got {t}\n"
 
 
 def test_parse_error_exit_code(capsys, write):

@@ -163,18 +163,27 @@ def test_count_oracle(universes):
 
 
 def test_rejects_large_t():
+    for t in (-1, 0, 8):
+        message = f"^full enumeration supported for 1 <= t <= 7, got {t}$"
+        with pytest.raises(GroundSetTooLarge, match=message):
+            enumerate_self_dual(t)
     with pytest.raises(GroundSetTooLarge):
-        enumerate_self_dual(8)
-    with pytest.raises(GroundSetTooLarge):
-        verify_universe(8)
+        enumerate_star_selfdual_complexes(8)
 
 
-def test_complex_enumeration_t3_t4(enum4):
-    assert len(enumerate_star_selfdual_complexes(3)) == 4
+def complexes_oracle(res):
+    """The complex 2^[t] - A^v of each clutter of a result, closed from its
+    members, in the result's order."""
+    return tuple(complement_complex(up_closure(cl)) for cl in res.items)
+
+
+def test_complex_enumeration_t3_t4(universes):
+    for res in universes:
+        complexes = enumerate_star_selfdual_complexes(res.t)
+        assert isinstance(complexes, tuple) and len(complexes) == res.count
+        # one complex per clutter, in the clutters' order
+        assert complexes == complexes_oracle(res)
     complexes = enumerate_star_selfdual_complexes(4)
-    assert isinstance(complexes, tuple) and len(complexes) == enum4.count == 12
-    # one complex per clutter, in the clutters' order
-    assert complexes == tuple(complement_complex(up_closure(cl)) for cl in enum4.items)
     families = {c.family for c in complexes}
     assert family(4, COMPLEX_T4) in families
     assert family(4, SIMPLEX_T4) in families
@@ -191,7 +200,7 @@ def test_complement_complex_roundtrip(enum4):
 
 
 def test_verify_universe_t3():
-    report = verify_universe(3)
+    report = verify_universe(enumerate_self_dual(3))
     assert report["pass"]
     assert report["count"] == 4
     assert report["theorem3"] == {"passed": 4, "failed": 0}
@@ -201,7 +210,7 @@ def test_verify_universe_t3():
 
 def test_verify_universe_t2():
     # the bound tables hold at every t, so t = 2 runs the same checks as t = 4
-    report = verify_universe(2)
+    report = verify_universe(enumerate_self_dual(2))
     assert report["pass"]
     assert report["count"] == 2
     assert report["theorem3"] == {"passed": 2, "failed": 0}
@@ -210,7 +219,7 @@ def test_verify_universe_t2():
 
 
 def test_verify_universe_t4(enum4):
-    report = verify_universe(4, result=enum4)
+    report = verify_universe(enum4)
     assert report["pass"]
     assert report["theorem3"] == {"passed": 12, "failed": 0}
     assert report["lemma2"] == {"passed": 12, "failed": 0}
@@ -225,7 +234,7 @@ def reference_reports(universes):
 
 def test_verify_universe_matches_per_clutter_reference(universes, reference_reports):
     for res in universes:
-        assert verify_universe(res.t, result=res) == reference_reports[res.t]
+        assert verify_universe(res) == reference_reports[res.t]
 
 
 @pytest.mark.parametrize("t, sets", [
@@ -237,7 +246,7 @@ def test_verify_universe_certifies_every_clutter(t, sets):
     cl = clutter(t, sets)
     assert not is_self_dual(cl)
     with pytest.raises(NotSelfDual):
-        verify_universe(t, result=EnumerationResult(t, (cl,)))
+        verify_universe(EnumerationResult(t, (cl,)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,23 +307,44 @@ def test_each_hit_is_certified_once(monkeypatch):
     monkeypatch.setattr("clutters.sets.star_invariant", counted)
     res = enumerate_self_dual(6)
     assert sum(blocks) == res.count == 2646
-    assert verify_universe(6, result=res)["pass"]
+    assert verify_universe(res)["pass"]
     assert sum(blocks) == 2646  # verify_universe reads the search's certified up-sets
     # clutters built elsewhere are certified when their result is made, once
     foreign = EnumerationResult(6, tuple(Clutter(6, cl.members) for cl in res.items[:10]))
-    assert verify_universe(6, result=foreign)["pass"]
-    assert verify_universe(6, result=foreign)["pass"]
+    assert verify_universe(foreign)["pass"]
+    assert verify_universe(foreign)["pass"]
     assert sum(blocks) == 2656
 
 
-def test_verify_universe_rejects_a_result_on_another_ground_set(enum4, enum5):
-    with pytest.raises(ValueError, match="not on E_4"):
-        verify_universe(4, result=enum5)
-    with pytest.raises(ValueError, match="not on E_5"):
-        verify_universe(5, result=EnumerationResult(4, enum4.items))
-    # the count is the items', not a second copy that could disagree
-    report = verify_universe(4, result=EnumerationResult(4, enum4.items))
-    assert report["count"] == 12 and report["pass"]
+def tallied_blocks(monkeypatch):
+    """The n of every block_layer_counts call that verify_universe makes."""
+    ns = []
+    real = enumeration.block_layer_counts
+
+    def counted(bm, t, n):
+        ns.append(n)
+        return real(bm, t, n)
+
+    monkeypatch.setattr(enumeration, "block_layer_counts", counted)
+    return ns
+
+
+def test_verify_universe_tallies_each_clutter_once(monkeypatch, universes):
+    # each chunk is tallied with its own block count, the last one too
+    ns = tallied_blocks(monkeypatch)
+    for res in universes:
+        ns.clear()
+        verify_universe(res)
+        assert sum(ns) == res.count and len(ns) == len(res.upsets)
+
+
+def test_verify_universe_reads_t_and_count_from_the_result(enum4, enum5):
+    # the result is the one argument, so its ground set and count cannot
+    # disagree with a second copy of either
+    assert verify_universe(enum5)["t"] == 5
+    report = verify_universe(EnumerationResult(4, enum4.items[:5]))
+    assert report["t"] == 4 and report["count"] == 5 and report["pass"]
+    assert report["theorem3"] == {"passed": 5, "failed": 0}
 
 
 @pytest.mark.parametrize("t, items", [
@@ -355,6 +385,25 @@ def test_star_check_failure_raises_package_error(monkeypatch):
         enumerate_star_selfdual_complexes(3)
 
 
+def fail_star_check_at(monkeypatch, k):
+    """Make the k-th star check of the complexes fail, 0-based."""
+    checked = []
+    real = enumeration.is_star_self_dual
+
+    def check(cx):
+        checked.append(cx)
+        return len(checked) != k + 1 and real(cx)
+
+    monkeypatch.setattr(enumeration, "is_star_self_dual", check)
+
+
+@pytest.mark.parametrize("k", [0, 1, 40, 80])
+def test_star_check_failure_names_its_clutter(k, monkeypatch, enum5):
+    fail_star_check_at(monkeypatch, k)
+    with pytest.raises(NotStarSelfDual, match=re.escape(f"of {enum5.items[k]!r} failed")):
+        enumerate_star_selfdual_complexes(5)
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 7])
 def test_chunk_seams(chunk, monkeypatch, tmp_path, capsys, pruned_hits, reference_reports):
     # t <= 6 fits one CHUNK, so the seams between packed chunks are tested
@@ -367,6 +416,7 @@ def test_chunk_seams(chunk, monkeypatch, tmp_path, capsys, pruned_hits, referenc
 
     monkeypatch.setattr(enumeration, "CHUNK", chunk)
     monkeypatch.setattr("clutters.sets.star_invariant", counted)
+    ns = tallied_blocks(monkeypatch)
     for t in (4, 5, 6):
         path = tmp_path / f"u{t}.fam"
         assert main(["enumerate", "--t", str(t), "--verify", "--out", str(path)]) == 0
@@ -377,15 +427,24 @@ def test_chunk_seams(chunk, monkeypatch, tmp_path, capsys, pruned_hits, referenc
         res = enumerate_self_dual(t)
         assert len(res.upsets) == -(-res.count // chunk) > 1
         assert sum(blocks) == res.count
-        assert verify_universe(t, result=res) == reference_reports[t]
+        ns.clear()
+        assert verify_universe(res) == reference_reports[t]
+        assert sum(ns) == res.count and len(ns) == len(res.upsets)
         # clutters from outside, in another order, are certified across chunks
         given = EnumerationResult(t, res.items[::-1])
         assert sum(blocks) == 2 * res.count
         assert given.keys == res.keys[::-1]
-        assert verify_universe(t, result=given) == reference_reports[t]
+        assert verify_universe(given) == reference_reports[t]
         bad = clutter(t, [[1, 2], [2, 3], [3, 4]])
         with pytest.raises(NotSelfDual, match=re.escape(repr(bad))):
             EnumerationResult(t, res.items[:-1] + (bad,) + res.items[-1:])
+        # each complex is its block's complement, block by block across chunks
+        assert enumerate_star_selfdual_complexes(t) == complexes_oracle(res)
+        for k in (chunk - 1, chunk, res.count - 1):
+            fail_star_check_at(monkeypatch, k)
+            with pytest.raises(NotStarSelfDual, match=re.escape(f"of {res.items[k]!r} failed")):
+                enumerate_star_selfdual_complexes(t)
+        monkeypatch.setattr(enumeration, "is_star_self_dual", is_star_self_dual)
 
 
 def few_self_dual_keys(t):
@@ -440,6 +499,8 @@ def test_enumeration_builds_no_clutter_until_items_are_read(monkeypatch, tmp_pat
     assert capsys.readouterr().out == "t=6 count=2646 verified=pass\n"
     assert built == []
     res = enumerate_self_dual(5)
-    assert res.count == 81 and verify_universe(5, result=res)["pass"]
+    assert res.count == 81 and verify_universe(res)["pass"]
     assert "items" not in res.__dict__ and built == []
+    # the complexes come from the certified up-sets, not from Clutters
+    assert len(enumerate_star_selfdual_complexes(5)) == 81 and built == []
     assert len(res.items) == 81 and len(built) == 81

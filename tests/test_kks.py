@@ -162,29 +162,29 @@ def test_bounds_hold_for_random_uniform_families():
 
 def test_lemma2_table_t4():
     table = lemma2_table(4)
-    assert table.row(2).exact == 3
-    assert table.row(1).kind == "lower" and table.row(1).lower == 3
-    assert table.row(3).kind == "upper" and table.row(3).upper == 1
-    assert table.row(0).exact == 1 and table.row(4).exact == 0
+    assert table.rows[2].exact == 3
+    assert table.rows[1].kind == "lower" and table.rows[1].lower == 3
+    assert table.rows[3].kind == "upper" and table.rows[3].upper == 1
+    assert table.rows[0].exact == 1 and table.rows[4].exact == 0
     assert table.pair_sums == ((1, 4),)
 
 
 def test_lemma2_table_t6():
     table = lemma2_table(6)
-    assert table.row(3).exact == 10
-    assert table.row(2).lower == 10
-    assert table.row(4).upper == 5
-    assert table.row(1).lower == 5
-    assert table.row(5).upper == 1
+    assert table.rows[3].exact == 10
+    assert table.rows[2].lower == 10
+    assert table.rows[4].upper == 5
+    assert table.rows[1].lower == 5
+    assert table.rows[5].upper == 1
     assert dict(table.pair_sums) == {1: binom(6, 2), 2: binom(6, 1)}
 
 
 def test_theorem3_table_t4():
     table = theorem3_table(4)
-    assert table.row(2).exact == 3
-    assert table.row(1).kind == "upper" and table.row(1).upper == 1
-    assert table.row(3).kind == "lower" and table.row(3).lower == 3
-    assert table.row(0).exact == 0 and table.row(4).exact == 1
+    assert table.rows[2].exact == 3
+    assert table.rows[1].kind == "upper" and table.rows[1].upper == 1
+    assert table.rows[3].kind == "lower" and table.rows[3].lower == 3
+    assert table.rows[0].exact == 0 and table.rows[4].exact == 1
     assert table.pair_sums == ((1, 4),)
 
 
@@ -242,7 +242,7 @@ def test_table_rows_bracket_and_pin_ends():
             for row in table.rows:
                 assert row.lower <= row.upper
             for k in (0, t // 2, t):
-                assert table.row(k).kind == "exact"
+                assert table.rows[k].kind == "exact"
 
 
 def test_tables_are_complementary():
@@ -252,7 +252,7 @@ def test_tables_are_complementary():
     for t in (4, 6, 8, 10):
         l2, t3 = lemma2_table(t), theorem3_table(t)
         for k in range(t + 1):
-            a, b = l2.row(k), t3.row(k)
+            a, b = l2.rows[k], t3.rows[k]
             assert b.kind == flip[a.kind]
             bound_a = a.exact if a.kind == "exact" else (
                 a.lower if a.kind == "lower" else a.upper)
