@@ -11,21 +11,25 @@ star(F0) is up-closed and self-dual. The self-dual clutters on E_t are
 therefore the minimal members of exactly these families, one per
 pair-free up-family F0 on E_(t-1).
 
-The search walks antichains on E_(t-1) depth-first, adding candidate
-generators in ascending (size, mask) order and tracking the up-family as
-a bitmap over 2^(t-1) subsets. Adding c keeps the family pair-free iff
-the new bitmap lacks E_(t-1) - c, a one-bit test. It is sound because
-every new member contains c: a new pair (X, E_(t-1) - X) with X
-containing c puts E_(t-1) - c, a subset of E_(t-1) - X, in the
-up-family. A rejected node has no pair-free descendants, since
-generators only add members, so every visited node is a hit. Each
-antichain is reached only by choosing its members in candidate order, so
-each clutter is emitted once.
+There is no search tree. Split a pair-free up-family F0 on E_(t-1) on
+element t-1 into G (its members without t-1) and H (its members with
+t-1, t-1 removed), both families on E_(t-2). F0 is up-closed iff G and H
+are and G <= H. F0 holds a complementary pair iff some S in G has
+E_(t-2) - S in H, so it is pair-free iff H <= star(G). The hits are
+therefore exactly the pairs G <= H <= star(G) of up-families on
+E_(t-2), and F0 = G | H << q with q = 2^(t-2). Distinct pairs (G, H)
+give distinct F0, which give distinct clutters, so each clutter is
+emitted once. The up-families on E_(t-2) are built by halves (7,581 at
+t = 7), with one bit column per subset S of E_(t-2) marking the
+families that hold S; the H that fit one G are one AND of columns. Since
+star(F0) = star(H) | star(G) << q on E_(t-1), a hit's block on 2^[t] is
+G | star(G) << 3q, made once per G, OR'd with H << q | star(H) << 2q,
+made once per H. Everything is built per call; t = 1 (no E_(t-2)) has
+the one hit F0 = {}.
 
-After the search no hit is an object. The search hands over its F0 in
-chunks of CHUNK, each chunk packed as one bitmap (see `sets`) with F0
-plus lifted star(F0) in the block of each hit, so `sets.minimal_bitmap`
-takes t shift-or passes over the whole chunk. Each hit's minimal members
+No hit is an object. The blocks are read CHUNK at a time, each chunk
+packed as one bitmap (see `sets`), so `sets.minimal_bitmap` takes t
+shift-or passes over the whole chunk. Each hit's minimal members
 become one `bytes` key, its member masks ascending, built from one table
 per byte position of a block, filled on first use. Every mask is below
 2^t <= 128, so byte order is member-tuple order and sorting the keys
@@ -38,15 +42,17 @@ and every block of it is tested for B(A)^v = (A^v)* = A^v by one
 one by one, to name the clutter. The certified up-sets stay packed, and
 every reader walks them through `EnumerationResult.chunks`, which pairs
 each packed int with its chunk's keys, so a block count comes from the
-keys and never from CHUNK. At t = 7 (1,422,564 hits),
-`enumerate --verify` took 10.5 s at 131 MB peak RSS (2-vCPU VM,
-CPython 3.11).
+keys and never from CHUNK. At t = 7 (1,422,564 hits), the hits take
+about 0.4 s in process, and `enumerate --verify` took 6.4-8.7 s at
+130 MB peak RSS (2-vCPU VM, CPython 3.11).
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain, compress, islice, repeat
 from typing import Iterator
 
 from . import sets  # sets.star_invariant is read at call time
@@ -71,6 +77,8 @@ MAX_ENUM_T = 7
 # one, and with all hits in one int `enumerate --t 7 --verify` peaked at
 # 559 MB, against 131 MB in chunks of 2^14
 CHUNK = 1 << 14
+# ASCII "0" and "1" to the bytes 0 and 1
+_BIT_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class EnumerationResult:
@@ -152,50 +160,77 @@ def _certified(t: int, keys: list[bytes]) -> int:
     return up
 
 
+def _up_families(r: int) -> list[int]:
+    """Bitmaps of all up-families on E_r, r >= 0 (2, 3, 6, 20, 168, 7581
+    for r = 0..5), built by halves: a family is up-closed iff its members
+    without element j + 1 (lo) and those with it, it removed (hi), are
+    up-families on E_j with lo inside hi."""
+    ups = [0, 1]
+    for j in range(r):
+        ups = [lo | hi << (1 << j) for hi in ups for lo in ups if lo & ~hi == 0]
+    return ups
+
+
+def _selectors(x: int, n: int) -> bytes:
+    """The n low binary digits of x, most significant first, as bytes 0
+    and 1: the selectors of `compress`."""
+    return format(x, f"0{n}b").encode().translate(_BIT_BYTE)
+
+
+def _hit_blocks(t: int) -> Iterator[int]:
+    """The up-set block on 2^[t] of each pair-free up-family F0 on E_(t-1),
+    in no fixed order: G | H << q | star(H) << 2q | star(G) << 3q for
+    the pairs G <= H <= star(G) of up-families on E_(t-2), q = 2^(t-2).
+
+    Written as n binary digits, most significant first, col[S] has its
+    j-th digit set iff ups[j] holds S, so the H that fit one G are the set
+    digits of the AND over S in G of col[S] and not col[E_(t-2) - S],
+    read by `compress`. Every table is built per call."""
+    if t == 1:
+        return iter((0b10,))  # F0 = {} on E_0: star(F0) = {{}} lifts to {{1}}
+    r = t - 2
+    q, full = 1 << r, (1 << r) - 1
+    ups = _up_families(r)
+    stars = [star_bitmap(u, r) for u in ups]
+    n = len(ups)
+    rows = "".join([format(u, f"0{q}b") for u in ups])
+    col = [int(rows[q - 1 - s::q], 2) for s in range(q)]
+    # need[q-1-S]: the H that hold S and not E_(t-2) - S, in the order of
+    # the digits of a family, so those of G select their entries
+    need = [col[s] & ~col[full ^ s] for s in reversed(range(q))]
+    hs = [u << q | su << 2 * q for u, su in zip(ups, stars)]
+
+    def per_g() -> Iterator[Iterator[int]]:
+        for g, sg in zip(ups, stars):
+            if g & ~sg:
+                continue  # G holds a complementary pair, so no H fits
+            fit = reduce(int.__and__, compress(need, _selectors(g, q)), (1 << n) - 1)
+            if fit:
+                yield map((g | sg << 3 * q).__or__, compress(hs, _selectors(fit, n)))
+
+    return chain.from_iterable(per_g())
+
+
 def enumerate_self_dual(t: int) -> EnumerationResult:
     """All self-dual clutters on E_t, each exactly once, ascending by members.
 
     Supported for 1 <= t <= 7 (counts 1, 2, 4, 12, 81, 2646, 1422564;
     OEIS A001206). Each clutter comes from one up-family F0 on E_(t-1)
     without a complementary pair, as the minimal members of F0 plus
-    {S+{t} : S in star(F0)}; the empty F0 gives {{t}}. The result holds
-    keys and packed up-sets; no Clutter is built until `items` is read.
+    {S+{t} : S in star(F0)}; the empty F0 gives {{t}}. The F0 are the
+    pairs (G, H) of `_hit_blocks`, read CHUNK at a time, each chunk's
+    blocks packed into one int for `minimal_bitmap`. The result holds keys
+    and packed up-sets; no Clutter is built until `items` is read.
     """
     _check_enum_t(t)
-    s = t - 1
-    full = (1 << s) - 1
-    cands = sorted(range(1, 1 << s), key=lambda m: (m.bit_count(), m))
-    ups = [up_bitmap(1 << c, s) for c in cands]
     b = block_bytes(t)
-    lifted = (1 << (1 << t)) - (1 << (1 << s))  # the members with element t
     tables = [_KeyBytes(j) for j in range(b)]
-    f0s: list[int] = []
+    blocks = _hit_blocks(t)
     keys: list[bytes] = []
-
-    def flush() -> None:
-        # within 2^[t], the star of F0 is every set without t plus star(F0) lifted
-        n = len(f0s)
-        low = int.from_bytes(b"".join([bm.to_bytes(b, "little") for bm in f0s]), "little")
-        high = int.from_bytes(lifted.to_bytes(b, "little") * n, "little")
-        raw = minimal_bitmap(low | star_bitmap(low, t, n) & high, t).to_bytes(n * b, "little")
+    while packed := b"".join(map(int.to_bytes, islice(blocks, CHUNK), repeat(b), repeat("little"))):
+        raw = minimal_bitmap(int.from_bytes(packed, "little"), t).to_bytes(len(packed), "little")
         columns = [map(tab.__getitem__, raw[j::b]) for j, tab in enumerate(tables)]
         keys.extend(map(b"".join, zip(*columns)))
-        f0s.clear()
-
-    def rec(start: int, bm: int) -> None:
-        f0s.append(bm)
-        if len(f0s) == CHUNK:
-            flush()
-        for j in range(start, len(cands)):
-            c = cands[j]
-            if bm >> c & 1:
-                continue  # c contains an already chosen generator
-            nb = bm | ups[j]
-            if not nb >> (full ^ c) & 1:
-                rec(j + 1, nb)
-
-    rec(0, 0)
-    flush()
     keys.sort()
     return EnumerationResult(t, keys=keys)
 
@@ -226,19 +261,21 @@ def verify_universe(res: EnumerationResult) -> dict:
 
     A result is certified when it is made, so this reads only the
     f-vector of each A^v, tallied chunk by chunk over one block per key
-    by `sets.block_layer_counts`, and runs the checks once per distinct
-    f-vector (2,646 clutters at t = 6 have 7), counted with its
+    as the 8-byte records of `sets.block_layer_counts`. Each distinct
+    record is decoded once (2,646 clutters at t = 6 have 7 f-vectors),
+    and the checks run once per f-vector, counted with its
     multiplicity: theorem3 bounds, lemma2 bounds on the complement
     complex 2^[t] - A^v (f-vector C(t,k) - f_k) and the appendix
     identities, at every t. Failures are report content, not errors.
     """
     t = res.t
-    tally: Counter[tuple[int, ...]] = Counter()
+    tally: Counter[int] = Counter()
     for keys, up in res.chunks():
-        tally.update(block_layer_counts(up, t, len(keys)))
+        tally.update(memoryview(block_layer_counts(up, t, len(keys))).cast("Q"))
     t3, l2 = theorem3_table(t), lemma2_table(t)
     passed = dict.fromkeys(("theorem3", "lemma2", "appendix"), 0)
-    for f, n in tally.items():
+    for record, n in tally.items():
+        f = tuple(record.to_bytes(8, sys.byteorder)[:t + 1])
         fv = FVector(t, f)
         rest = FVector(t, tuple(binom(t, k) - fk for k, fk in enumerate(f)))
         passed["theorem3"] += n * verify_against(t3, fv)["pass"]

@@ -21,8 +21,8 @@ table from token to bit, and a member is written as two lookups in string
 tables over the low t//2 and the high t - t//2 bits of its mask, built per
 call. `format_families` (the `enumerate --out` document, written a
 chunk of thousands of small families on one ground set per call) writes
-the line of each mask the chunk holds once, from those two tables, so
-each family is its header and one join.
+the line of every mask below 2^t once, from those two tables, so each
+family is its header and one join; it takes t <= MAX_ENUM_T = 7 only.
 `write_members_json` writes the `--json` form of a family, exactly the
 bytes of `json.dumps(obj, indent=2)` and a newline, in chunks of CHUNK
 members. At t = 20, `upset --list --json` on
@@ -37,6 +37,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
+from .enumeration import MAX_ENUM_T
+from .errors import GroundSetTooLarge
 from .sets import MAX_T, SetFamily, mask_of
 
 CHUNK = 1 << 15
@@ -227,12 +229,15 @@ def format_family(f: SetFamily) -> str:
 
 def format_families(keys: Sequence[Sequence[int]], t: int) -> str:
     """format_family of each family on E_t, given as its ascending member
-    masks (such as an enumeration key), joined by `---` lines. A chunk
-    holds thousands of small families over few distinct masks, so each
-    mask that occurs gets its line once per call, from `_member_rows`,
-    and each family is its header and one join."""
-    masks = set().union(*keys)
-    lines = {m: "{" + e[1:] + "}\n" for m, e in zip(masks, _member_rows(t, _TEXT)(masks))}
+    masks (such as an enumeration key), joined by `---` lines. Every mask
+    is below 2^t, so the line of each of the 2^t masks is written once per
+    call, from `_member_rows`, and each family is its header and one join.
+    That table is why t must be at most MAX_ENUM_T (GroundSetTooLarge
+    otherwise): it suits `enumerate --out`, thousands of small families
+    per call, and format_family writes a family at any t."""
+    if t > MAX_ENUM_T:
+        raise GroundSetTooLarge(f"format_families writes 2^t lines, so t <= {MAX_ENUM_T}, got {t}")
+    lines = ["{" + e[1:] + "}\n" for e in _member_rows(t, _TEXT)(range(1 << t))]
     head = f"t: {t}\n"
     return "---\n".join([head + "".join(map(lines.__getitem__, members)) for members in keys])
 

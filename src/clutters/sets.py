@@ -115,6 +115,7 @@ for _j in range(8):
     _REV_BYTE += [r | 0x80 >> _j for r in _REV_BYTE]
 del _j
 _STAR_BYTE = bytes(_REV_BYTE[::-1])
+_POPCOUNT = bytes(map(len, _BYTE_BITS))
 _NONZERO_RUN = re.compile(rb"[^\x00]+")
 
 
@@ -299,18 +300,26 @@ def layer_counts(bm: int, t: int) -> list[int]:
     return [(bm & lay).bit_count() for lay in _layer_masks(t)]
 
 
-def block_layer_counts(bm: int, t: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Long f-vector of each of the n families packed in bm, t <= _CACHE_T:
-    per size layer one AND with the tiled layer mask and one popcount
-    per word, the words of a block summed."""
+def block_layer_counts(bm: int, t: int, n: int) -> bytearray:
+    """Long f-vector of each of the n families packed in bm, t <= 7: one
+    8-byte record per block, byte k holding f_k (C(7, 3) = 35 fits a
+    byte). Per size layer, one AND with the tiled layer mask; each byte
+    is popcounted by `translate`, the b bytes of each block are folded
+    into its first by log2(b) shifted adds (no byte passes 8b <= 128, so
+    none carries), and one strided slice moves the first bytes into
+    the records."""
+    if t > 7:
+        raise ValueError(f"layer count records need t <= 7, got {t}")
     b = block_bytes(t)
-    layers = []
-    for lay in _tiled(_layer_masks(t), t, n):
-        words = _words((bm & lay).to_bytes(n * b, "little"), b)
-        counts = map(int.bit_count, words)
-        w = b // words.itemsize
-        layers.append(map(sum, zip(*[counts] * w)) if w > 1 else counts)
-    return zip(*layers)
+    records = bytearray(8 * n)
+    for k, lay in enumerate(_tiled(_layer_masks(t), t, n)):
+        counts = int.from_bytes((bm & lay).to_bytes(n * b, "little").translate(_POPCOUNT), "little")
+        w = b
+        while w > 1:
+            w >>= 1
+            counts += counts >> (w << 3)
+        records[k::8] = counts.to_bytes(n * b, "little")[::b]
+    return records
 
 
 def _minimalize(masks: Iterable[int]) -> list[int]:

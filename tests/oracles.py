@@ -10,7 +10,7 @@ antichain test that `sets` used before it compared a mask only with
 smaller sizes; `low_layers_intersect`, the fact
 behind the bound tables at every t, tested on masks; and
 `self_dual_count`, the number of self-dual clutters as a sum over pairs
-of up-families, with no search. They
+of up-families, the enumeration's own decomposition written again. They
 work on plain mask tuples and ints, share no code with `clutters`, and
 are meant for small t only.
 
@@ -292,7 +292,14 @@ def self_dual_count(t):
     with it, it removed): F0 is up-closed iff G <= H, and pair-free iff
     H <= star(G). has[S] has bit j set iff subset S is in the j-th
     up-family, so the H that fit one G are the AND of has[S] over S in G
-    and of its complement over S outside star(G)."""
+    and of its complement over S outside star(G).
+
+    `clutters.enumeration` lists its hits by this same decomposition, so
+    this count is a second implementation of the argument, not a check
+    of it. The checks independent of the enumeration are
+    `pruned_self_dual_search` (t <= 6), the brute force over antichains
+    in the tests (t <= 5) and the known count 1422564 at t = 7 (OEIS
+    A001206)."""
     if t == 1:
         return 1
     n = t - 2

@@ -7,6 +7,7 @@ split path (cubes above the mask-cache limit) against the cached path.
 
 import contextlib
 import math
+import random
 import time
 from itertools import combinations
 
@@ -296,9 +297,28 @@ def test_packed_kernels_act_on_each_block(tg):
     assert unpack(star_bitmap(again, t, n), t, n) == [bitmap_of(s, t) for s in stars]
     fixed = [s == oracles.up_family(g, t) for s, g in zip(stars, gens)]
     assert star_invariant(again, t, n) == all(fixed)
-    assert list(block_layer_counts(again, t, n)) == [
-        tuple(oracles.f_counts(oracles.up_family(g, t), t)) for g in gens
+    # one 8-byte record per block, byte k holding f_k, the bytes past f_t zero
+    records = block_layer_counts(again, t, n)
+    assert [tuple(records[8 * h:8 * h + 8]) for h in range(n)] == [
+        tuple(oracles.f_counts(oracles.up_family(g, t), t)) + (0,) * (7 - t) for g in gens
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("t", range(1, 8))
+def test_layer_count_records_match_layer_counts(t, n):
+    # the empty block and the full cube (f_k = C(t, k), 35 at t = 7 and
+    # k = 3) among random ones; every block's record is its layer_counts
+    full = (1 << (1 << t)) - 1
+    rng = random.Random(t * 10 + n)
+    blocks = ([0, full] + [rng.getrandbits(1 << t) for _ in range(n)])[:n]
+    records = block_layer_counts(pack(blocks, t), t, n)
+    assert len(records) == 8 * n
+    for h, bm in enumerate(blocks):
+        assert list(records[8 * h:8 * h + t + 1]) == layer_counts(bm, t)
+        assert not any(records[8 * h + t + 1:8 * h + 8])
+    with pytest.raises(ValueError, match="t <= 7"):
+        block_layer_counts(0, 8, 1)
 
 
 @pytest.mark.parametrize("t", range(1, 8))

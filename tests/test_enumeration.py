@@ -156,10 +156,42 @@ def test_out_file_is_the_oracle_text(pruned_hits, tmp_path, capsys):
 
 
 def test_count_oracle(universes):
-    # a sum over pairs of up-families on E_(t-2), with no search
+    # a sum over pairs of up-families on E_(t-2): the enumeration's own
+    # decomposition, so it checks the code, not the argument; the
+    # literal 1422564 (OEIS A001206), pruned_self_dual_search (t <= 6)
+    # and brute_force_self_dual (t <= 5) are the independent checks
     for res in universes:
         assert oracles.self_dual_count(res.t) == res.count
     assert oracles.self_dual_count(7) == 1422564
+
+
+def test_up_families_by_halves():
+    for r, count in enumerate((2, 3, 6, 20, 168, 7581)):
+        ups = enumeration._up_families(r)
+        assert len(ups) == len(set(ups)) == count
+        assert set(ups) == set(oracles.up_families(r))
+
+
+def pair_free_blocks(t):
+    """The block F0 | star(F0) << 2^(t-1) on 2^[t] of each pair-free
+    up-family F0 on E_(t-1), sorted, from the oracle's up-families."""
+    s = t - 1
+    full, half = (1 << s) - 1, 1 << s
+    blocks = []
+    for f0 in oracles.up_families(s):
+        members = [m for m in range(half) if f0 >> m & 1]
+        if not any(f0 >> (full ^ m) & 1 for m in members):
+            blocks.append(f0 | sum(1 << (half + m) for m in oracles.star(members, s)))
+    return sorted(blocks)
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_each_pair_free_up_family_is_one_hit(t):
+    # t = 1 has no E_(t-2): F0 = {} gives {{1}}; at t = 2 (E_0) and t =
+    # 3, 4 the families G and H are narrower than a byte
+    assert sorted(enumeration._hit_blocks(t)) == pair_free_blocks(t)
+    if t == 1:
+        assert enumerate_self_dual(1).items == (clutter(1, [[1]]),)
 
 
 def test_rejects_large_t():
@@ -476,8 +508,8 @@ def test_a_flipped_bit_in_the_certified_up_sets_names_its_hit(t, monkeypatch):
             with pytest.raises(NotSelfDual, match=name):
                 enumeration._certified(t, keys)
     if res is not None:
-        # and through the search, whose own closures run on E_(t-1): the
-        # last hit's block is the last of the last chunk
+        # and through the search, which builds its blocks without
+        # up_bitmap: the last hit's block is the last of the last chunk
         flip = (res.count - 1) % enumeration.CHUNK * width
         monkeypatch.setattr(
             enumeration, "up_bitmap", lambda bm, u: real(bm, u) ^ (1 << flip if u == t else 0))

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from clutters import SetFamily, familyio, random_star_selfdual
+from clutters import GroundSetTooLarge, SetFamily, familyio, random_star_selfdual
+from clutters.enumeration import MAX_ENUM_T
 from clutters.familyio import (
     ParseError,
     format_families,
@@ -127,6 +128,10 @@ def test_format_families_roundtrip(tms, tm):
     # format_families writes the families of one ground set at a time
     for s in {s for s, _ in tms}:
         keys = [ms for u, ms in tms if u == s]
+        if s > MAX_ENUM_T:
+            with pytest.raises(GroundSetTooLarge):
+                format_families(keys, s)
+            continue
         text = format_families(keys, s)
         assert text == "---\n".join(oracles.format_family(s, ms) for ms in keys)
         assert [p.family() for p in parse_families(text)] == [SetFamily(s, ms) for ms in keys]
@@ -159,10 +164,14 @@ def test_writers_match_member_loops(tm, with_empty_set, chunk):
     f = SetFamily(t, members)
     with mock.patch.object(familyio, "CHUNK", chunk):
         assert format_family(f) == oracles.format_family(t, members)
-        other = SetFamily(t, members[::2])
-        assert format_families([f.members, other.members], t) == "---\n".join(
-            [oracles.format_family(t, members), oracles.format_family(t, members[::2])]
-        )
+        keys = [f.members, f.members[::2]]
+        if t <= MAX_ENUM_T:
+            assert format_families(keys, t) == "---\n".join(
+                [oracles.format_family(t, members), oracles.format_family(t, members[::2])]
+            )
+        else:  # format_families writes the lines of all 2^t masks
+            with pytest.raises(GroundSetTooLarge):
+                format_families(keys, t)
         assert _json({"t": t}, f) == oracles.members_json({"t": t}, members)
         head = {"t": t, "count": len(members), "f": [1, 0, 2]}
         assert _json(head, f) == oracles.members_json(head, members)
