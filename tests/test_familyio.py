@@ -1,12 +1,11 @@
 import io
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from clutters import GroundSetTooLarge, SetFamily, familyio, random_star_selfdual
+from clutters import GroundSetTooLarge, SetFamily, random_star_selfdual
 from clutters.enumeration import MAX_ENUM_T
 from clutters.familyio import (
     ParseError,
@@ -156,31 +155,43 @@ def _json(obj, f):
 
 
 @settings(max_examples=150, deadline=None)
-@given(families(max_t=20), st.booleans(), st.sampled_from([1, 2, 3, familyio.CHUNK]))
-def test_writers_match_member_loops(tm, with_empty_set, chunk):
+@given(families(max_t=20), st.booleans())
+# the edges of the runs, the members that share their high t - t//2 bits
+@example((1, (1,)), True)  # t // 2 = 0: every mask is a run of its own
+@example((1, (1,)), False)
+@example((9, tuple(range(1, 16, 3))), True)  # every member below 2^(t//2)
+@example((9, tuple(range(1, 16, 3))), False)
+@example((12, tuple(h << 6 | h for h in range(64))), True)  # one member per run
+@example((12, tuple(h << 6 | 63 for h in range(1, 64))), False)
+@example((20, ()), True)  # {∅} alone
+@example((20, (1 << 19,)), True)  # ∅ and one member
+@example((3, (1,)), True)  # ... where format_families runs too
+@example((20, ()), False)  # the empty family
+@example((2, ()), False)
+def test_writers_match_member_loops(tm, with_empty_set):
     t, members = tm
     if with_empty_set:
         members = tuple(sorted(set(members) | {0}))
     f = SetFamily(t, members)
-    with mock.patch.object(familyio, "CHUNK", chunk):
-        assert format_family(f) == oracles.format_family(t, members)
-        keys = [f.members, f.members[::2]]
-        if t <= MAX_ENUM_T:
-            assert format_families(keys, t) == "---\n".join(
-                [oracles.format_family(t, members), oracles.format_family(t, members[::2])]
-            )
-        else:  # format_families writes the lines of all 2^t masks
-            with pytest.raises(GroundSetTooLarge):
-                format_families(keys, t)
-        assert _json({"t": t}, f) == oracles.members_json({"t": t}, members)
-        head = {"t": t, "count": len(members), "f": [1, 0, 2]}
-        assert _json(head, f) == oracles.members_json(head, members)
+    assert format_family(f) == oracles.format_family(t, members)
+    keys = [f.members, f.members[::2]]
+    if t <= MAX_ENUM_T:
+        assert format_families(keys, t) == "---\n".join(
+            [oracles.format_family(t, members), oracles.format_family(t, members[::2])]
+        )
+    else:  # format_families writes the lines of all 2^t masks
+        with pytest.raises(GroundSetTooLarge):
+            format_families(keys, t)
+    assert _json({"t": t}, f) == oracles.members_json({"t": t}, members)
+    head = {"t": t, "count": len(members), "f": [1, 0, 2]}
+    assert _json(head, f) == oracles.members_json(head, members)
 
 
-def test_writers_across_chunks():
-    # 65,536 members at t = 17, the empty set among them: two full chunks
+def test_writers_across_runs():
+    # 65,536 members at t = 17, the empty set among them, in all 512 runs
+    # of the high 9 bits
     f = random_star_selfdual(17, 3).family
     f = SetFamily(17, f.members[1:] + (0,))
-    assert len(f) > familyio.CHUNK
+    assert len({m >> 8 for m in f.members}) == 512
     assert format_family(f) == oracles.format_family(17, f.members)
     assert _json({"t": 17}, f) == oracles.members_json({"t": 17}, f.members)
