@@ -7,7 +7,6 @@ from .complexes import (
     AlexanderDual,
     Complex,
     alexander_dual,
-    check_star_selfdual_facts,
     down_closure,
     is_alexander_self_dual,
     is_star_self_dual,
@@ -16,7 +15,6 @@ from .enumeration import (
     EnumerationResult,
     complement_complex,
     enumerate_self_dual,
-    enumerate_star_selfdual_complexes,
     verify_universe,
 )
 from .errors import (
@@ -48,11 +46,8 @@ from .sets import (
     blocker,
     blocker_berge,
     blocker_dense,
-    complement_family,
-    complement_set,
     is_self_dual,
     min_elements,
-    principal_upset,
     self_dual_criterion,
     star,
     up_closure,

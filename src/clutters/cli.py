@@ -28,7 +28,7 @@ import os
 import sys
 
 from . import complexes, enumeration, familyio, identities, kks, sets, vectors
-from .errors import NotSelfDual, NotStarSelfDual
+from .errors import InconsistentResult, NotSelfDual, NotStarSelfDual
 
 
 class VerificationFailure(Exception):
@@ -131,13 +131,15 @@ def cmd_hvector(args) -> int:
 def cmd_check(args) -> int:
     cl = _clutter(args.file)
     self_dual = sets.is_self_dual(cl)
+    criterion = sets.self_dual_criterion(cl)
+    # self-duality forces the cardinality criterion; the converse is false
+    if self_dual and not criterion:
+        raise InconsistentResult("self-dual clutter with an up-set count other than 2^(t-1)")
     count = cl.upset_bitmap.bit_count()
-    criterion = count == 1 << (cl.t - 1)
     report = identities.family_report(cl)
     report["self_dual"] = self_dual
     report["criterion"] = criterion
     report["upset_count"] = count
-    identities_ok = all(report["identities"].values())
     if args.json:
         _emit_json(report)
     else:
@@ -148,8 +150,7 @@ def cmd_check(args) -> int:
             f"{k} {'pass' if report['identities'][k] else 'fail'}" for k in shown
         )
         print(f"identities: {verdicts}")
-    # self-duality forces the cardinality criterion; the converse is false
-    if not identities_ok or (self_dual and not criterion):
+    if not all(report["identities"].values()):
         raise VerificationFailure("identity checks failed")
     return 0
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import EmptyVertexSet, InconsistentResult, NotStarSelfDual
+from .errors import EmptyVertexSet, InconsistentResult
 from .sets import (
     Clutter,
     SetFamily,
@@ -35,7 +35,6 @@ from .sets import (
     star_bitmap,
     star_invariant,
 )
-from .identities import star_fixed, verdict
 from .vectors import f_vector
 
 
@@ -152,22 +151,3 @@ def is_alexander_self_dual(c: Complex) -> bool:
 def is_star_self_dual(c: Complex) -> bool:
     """star(D) = D relative to the full ground set E_t (t <= 28)."""
     return star_invariant(c.family.bitmap, c.t)
-
-
-def check_star_selfdual_facts(c: Complex) -> dict:
-    """Enumerative facts forced by star(D) = D, read from the identity
-    registry with D* = D:
-
-      count   #D = 2^(t-1)                        (star_count)
-      eq17    f_l + f_{t-l} = C(t,l) for all l    (eq28)
-      middle  f_{t/2} = C(t,t/2) / 2              (eq29; even t only, else None)
-    """
-    if not is_star_self_dual(c):
-        raise NotStarSelfDual("facts apply only when star(D) = D")
-    v = star_fixed(f_vector(c.family))
-    report: dict = {"t": c.t, "f": list(v.f)}
-    for key, label in (("count", "star_count"), ("eq17", "eq28"), ("middle", "eq29")):
-        got = verdict(label, v)
-        report[key] = None if got == "n/a" else got == "pass"
-    report["pass"] = False not in (report["count"], report["eq17"], report["middle"])
-    return report

@@ -56,8 +56,8 @@ from itertools import chain, compress, islice, repeat
 from typing import Iterator
 
 from . import sets  # sets.star_invariant is read at call time
-from .complexes import Complex, is_star_self_dual
-from .errors import GroundSetTooLarge, NotSelfDual, NotStarSelfDual
+from .complexes import Complex
+from .errors import GroundSetTooLarge, NotSelfDual
 from .identities import appendix_report
 from .kks import lemma2_table, theorem3_table, verify_against
 from .sets import (
@@ -238,22 +238,6 @@ def enumerate_self_dual(t: int) -> EnumerationResult:
 def complement_complex(u: SetFamily) -> Complex:
     """The complex 2^[t] - F for an increasing family F with F* = F."""
     return Complex(SetFamily.from_bitmap(u.t, complement_bitmap(u.bitmap, u.t)))
-
-
-def enumerate_star_selfdual_complexes(t: int) -> tuple[Complex, ...]:
-    """The complexes 2^[t] - A^v of the self-dual clutters A on E_t, in
-    their order, each the complement of a certified up-set block. Each is
-    re-verified to satisfy star(D) = D, a check independent of the
-    certificate on A^v."""
-    complexes = []
-    for keys, up in enumerate_self_dual(t).chunks():
-        for key, block in zip(keys, _blocks(up, t, len(keys))):
-            cx = complement_complex(SetFamily.from_bitmap(t, block))
-            if not is_star_self_dual(cx):
-                cl = Clutter._antichain(t, key)
-                raise NotStarSelfDual(f"bijection image of {cl!r} failed the star check")
-            complexes.append(cx)
-    return tuple(complexes)
 
 
 def verify_universe(res: EnumerationResult) -> dict:

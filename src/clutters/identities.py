@@ -6,8 +6,8 @@ family's `Counts` (the vectors of F, of F* and of 2^[t] - F) and a
 parity guard on t. A predicate evaluates its two sides by independent
 code, and a relation that several labels name is written once. The
 views select labels: CHECK for `family_report` (`check`, any family),
-APPENDIX for `check_appendix` (`identities`), and a few for
-`complexes.check_star_selfdual_facts` and `enumeration.verify_universe`.
+and APPENDIX for `appendix_report`, which `check_appendix`
+(`identities`) and `enumeration.verify_universe` read.
 
 F* = F holds exactly when each complementary pair {G, E_t - G}
 contributes exactly one member, so #F = 2^(t-1). Once that is certified,

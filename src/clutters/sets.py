@@ -477,17 +477,6 @@ def require_nontrivial(a: Clutter) -> None:
         raise TrivialClutter("operation requires a nontrivial clutter")
 
 
-def complement_set(mask: int, t: int) -> int:
-    """E_t - mask; an involution."""
-    return full_mask(t) ^ mask
-
-
-def complement_family(f: SetFamily) -> SetFamily:
-    """Elementwise complements {E_t - F : F in f}."""
-    full = full_mask(f.t)
-    return SetFamily(f.t, tuple(full ^ m for m in f.members))
-
-
 def star(f: SetFamily) -> SetFamily:
     """The family F* = {complement of G : G not in F}.
 
@@ -499,11 +488,6 @@ def star(f: SetFamily) -> SetFamily:
 def min_elements(f: SetFamily) -> Clutter:
     """Antichain of inclusion-minimal members; idempotent."""
     return Clutter._antichain(f.t, _minimalize(f.members))
-
-
-def principal_upset(mask: int, t: int) -> SetFamily:
-    """The increasing family generated by the one-member clutter {mask}."""
-    return up_closure(Clutter(t, (mask,)))
 
 
 def up_closure(f: SetFamily) -> SetFamily:

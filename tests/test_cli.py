@@ -11,12 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import clutters
-from clutters import random_star_selfdual, sets
+from clutters import InconsistentResult, random_star_selfdual, sets
 from clutters.cli import main
 from clutters.familyio import format_family
 
 TRIANGLE_T3 = "t: 3\n{1,2}\n{1,3}\n{2,3}\n"
 TRIANGLE_T4 = "t: 4\n{1,2}\n{1,3}\n{2,3}\n"
+TOP_T3 = "t: 3\n{1,2,3}\n"
 SINGLETON_T4 = "t: 4\n{2}\n"
 PATH_T4 = "t: 4\n{1,2}\n{2,3}\n{3,4}\n"
 COMPLEX_T4 = "t: 4\n{}\n{1}\n{2}\n{3}\n{4}\n{1,2}\n{1,3}\n{2,3}\n"
@@ -124,9 +125,13 @@ def test_check_self_dual_line(capsys, write):
 
 
 def test_check_non_self_dual(capsys, write):
-    code, out, _ = run(capsys, "check", write("p.fam", PATH_T4))
-    assert code == 0  # computation succeeds; the clutter just is not self-dual
-    assert out.splitlines()[0] == "self_dual: false, #upset: 8 = 2^3"
+    # computation succeeds; the clutter just is not self-dual, whether its
+    # up-set has the half count (the path) or not ({1,2,3})
+    for name, text, first in (("p.fam", PATH_T4, "self_dual: false, #upset: 8 = 2^3"),
+                              ("top.fam", TOP_T3, "self_dual: false, #upset: 1 != 2^2")):
+        code, out, _ = run(capsys, "check", write(name, text))
+        assert code == 0
+        assert out.splitlines()[0] == first
 
 
 def test_check_json_schema(capsys, write):
@@ -139,6 +144,21 @@ def test_check_json_schema(capsys, write):
     assert payload["upset_count"] == 4
     for key in ("eq22", "remark_iii", "remark_iv", "eq19"):
         assert payload["identities"][key] is True
+    code, out, _ = run(capsys, "check", "--json", write("top.fam", TOP_T3))
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["self_dual"] is False
+    assert payload["criterion"] is False
+    assert payload["upset_count"] == 1
+
+
+def test_check_raises_self_dual_without_criterion_as_a_defect(capsys, monkeypatch, write):
+    # self-duality forces #A^v = 2^(t-1), so a self-dual clutter failing
+    # the criterion is a defect, raised before anything is printed
+    monkeypatch.setattr(sets, "self_dual_criterion", lambda a: False)
+    with pytest.raises(InconsistentResult):
+        main(["check", write("tri.fam", TRIANGLE_T3)])
+    assert capsys.readouterr().out == ""
 
 
 def test_check_rejects_trivial(capsys, write):

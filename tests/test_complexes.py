@@ -10,9 +10,10 @@ from clutters import (
     NotStarSelfDual,
     SetFamily,
     alexander_dual,
-    check_star_selfdual_facts,
+    check_appendix,
     complement_complex,
     down_closure,
+    f_vector,
     is_alexander_self_dual,
     is_star_self_dual,
     min_elements,
@@ -187,22 +188,22 @@ def test_is_star_self_dual_examples():
 
 
 def test_star_selfdual_facts_examples():
-    rep = check_star_selfdual_facts(complex_of(4, COMPLEX_T4))
-    assert rep["pass"] and rep["middle"] is True
-    assert rep["f"][2] == 3
-
-    rep = check_star_selfdual_facts(complex_of(4, SIMPLEX_T4))
-    assert rep["pass"]
-    assert rep["f"][0] + rep["f"][4] == 1
-
-    rep = check_star_selfdual_facts(simplex_without(6, 1))
-    assert rep["pass"]
-    assert rep["f"] == [1, 5, 10, 10, 5, 1, 0]
+    # star(D) = D forces f_l + f_(t-l) = C(t,l) (eq28) and, at even t,
+    # f_(t/2) = C(t,t/2) / 2 (eq29): appendix verdicts of D's own family
+    examples = (complex_of(4, COMPLEX_T4), complex_of(4, SIMPLEX_T4), simplex_without(6, 1))
+    for c in examples:
+        rep = check_appendix(c.family)
+        assert rep["pass"]
+        assert rep["checks"]["eq28"] == rep["checks"]["eq29"] == "pass"
+    f = [f_vector(c.family).counts for c in examples]
+    assert f[0][2] == 3
+    assert f[1][0] + f[1][4] == 1
+    assert f[2] == (1, 5, 10, 10, 5, 1, 0)
 
 
 def test_star_selfdual_facts_rejects_others():
     with pytest.raises(NotStarSelfDual):
-        check_star_selfdual_facts(Complex(SetFamily(3, tuple(range(8)))))
+        check_appendix(Complex(SetFamily(3, tuple(range(8)))).family)
 
 
 def test_star_selfdual_forces_empty_and_full_slots():

@@ -10,16 +10,13 @@ from clutters import (
     EnumerationResult,
     GroundSetTooLarge,
     NotSelfDual,
-    NotStarSelfDual,
     blocker_berge,
     blocker_dense,
     check_appendix,
     complement_complex,
     enumerate_self_dual,
-    enumerate_star_selfdual_complexes,
     family_report,
     is_self_dual,
-    is_star_self_dual,
     self_dual_criterion,
     up_closure,
     verify_lemma2,
@@ -33,7 +30,7 @@ from clutters.sets import SetFamily, bitmap_of, star_invariant, up_bitmap
 from oracles import pruned_self_dual_search
 
 from conftest import (
-    COMPLEX_T4, FANO, SIMPLEX_T4, TRIANGLE, clutter, family, not_applicable, self_dual_clutters,
+    FANO, TRIANGLE, clutter, not_applicable, self_dual_clutters,
 )
 
 
@@ -199,28 +196,6 @@ def test_rejects_large_t():
         message = f"^full enumeration supported for 1 <= t <= 7, got {t}$"
         with pytest.raises(GroundSetTooLarge, match=message):
             enumerate_self_dual(t)
-    with pytest.raises(GroundSetTooLarge):
-        enumerate_star_selfdual_complexes(8)
-
-
-def complexes_oracle(res):
-    """The complex 2^[t] - A^v of each clutter of a result, closed from its
-    members, in the result's order."""
-    return tuple(complement_complex(up_closure(cl)) for cl in res.items)
-
-
-def test_complex_enumeration_t3_t4(universes):
-    for res in universes:
-        complexes = enumerate_star_selfdual_complexes(res.t)
-        assert isinstance(complexes, tuple) and len(complexes) == res.count
-        # one complex per clutter, in the clutters' order
-        assert complexes == complexes_oracle(res)
-    complexes = enumerate_star_selfdual_complexes(4)
-    families = {c.family for c in complexes}
-    assert family(4, COMPLEX_T4) in families
-    assert family(4, SIMPLEX_T4) in families
-    for c in complexes:
-        assert is_star_self_dual(c)
 
 
 def test_complement_complex_roundtrip(enum4):
@@ -411,31 +386,6 @@ def test_result_certifies_at_construction(enum4, enum5):
     assert EnumerationResult(4, (), keys=enum4.keys).items == enum4.items
 
 
-def test_star_check_failure_raises_package_error(monkeypatch):
-    monkeypatch.setattr(enumeration, "is_star_self_dual", lambda cx: False)
-    with pytest.raises(NotStarSelfDual, match="star check"):
-        enumerate_star_selfdual_complexes(3)
-
-
-def fail_star_check_at(monkeypatch, k):
-    """Make the k-th star check of the complexes fail, 0-based."""
-    checked = []
-    real = enumeration.is_star_self_dual
-
-    def check(cx):
-        checked.append(cx)
-        return len(checked) != k + 1 and real(cx)
-
-    monkeypatch.setattr(enumeration, "is_star_self_dual", check)
-
-
-@pytest.mark.parametrize("k", [0, 1, 40, 80])
-def test_star_check_failure_names_its_clutter(k, monkeypatch, enum5):
-    fail_star_check_at(monkeypatch, k)
-    with pytest.raises(NotStarSelfDual, match=re.escape(f"of {enum5.items[k]!r} failed")):
-        enumerate_star_selfdual_complexes(5)
-
-
 @pytest.mark.parametrize("chunk", [1, 2, 7])
 def test_chunk_seams(chunk, monkeypatch, tmp_path, capsys, pruned_hits, reference_reports):
     # t <= 6 fits one CHUNK, so the seams between packed chunks are tested
@@ -470,13 +420,6 @@ def test_chunk_seams(chunk, monkeypatch, tmp_path, capsys, pruned_hits, referenc
         bad = clutter(t, [[1, 2], [2, 3], [3, 4]])
         with pytest.raises(NotSelfDual, match=re.escape(repr(bad))):
             EnumerationResult(t, res.items[:-1] + (bad,) + res.items[-1:])
-        # each complex is its block's complement, block by block across chunks
-        assert enumerate_star_selfdual_complexes(t) == complexes_oracle(res)
-        for k in (chunk - 1, chunk, res.count - 1):
-            fail_star_check_at(monkeypatch, k)
-            with pytest.raises(NotStarSelfDual, match=re.escape(f"of {res.items[k]!r} failed")):
-                enumerate_star_selfdual_complexes(t)
-        monkeypatch.setattr(enumeration, "is_star_self_dual", is_star_self_dual)
 
 
 def few_self_dual_keys(t):
@@ -533,6 +476,4 @@ def test_enumeration_builds_no_clutter_until_items_are_read(monkeypatch, tmp_pat
     res = enumerate_self_dual(5)
     assert res.count == 81 and verify_universe(res)["pass"]
     assert "items" not in res.__dict__ and built == []
-    # the complexes come from the certified up-sets, not from Clutters
-    assert len(enumerate_star_selfdual_complexes(5)) == 81 and built == []
     assert len(res.items) == 81 and len(built) == 81

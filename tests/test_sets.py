@@ -13,11 +13,8 @@ from clutters import (
     blocker,
     blocker_berge,
     blocker_dense,
-    complement_family,
-    complement_set,
     is_self_dual,
     min_elements,
-    principal_upset,
     self_dual_criterion,
     star,
     up_closure,
@@ -67,28 +64,6 @@ def test_mask_roundtrip():
     assert mask_of([], 5) == 0
     with pytest.raises(ValueError):
         mask_of([4], 3)
-
-
-def test_complement_set_examples():
-    assert complement_set(mask_of([1, 2], 3), 3) == mask_of([3], 3)
-    assert complement_set(0, 4) == full_mask(4)
-    assert complement_set(mask_of([1, 5], 5), 5) == mask_of([2, 3, 4], 5)
-
-
-def test_complement_set_involution():
-    rng = random.Random(1)
-    for _ in range(200):
-        t = rng.randint(1, 20)
-        m = rng.randrange(1 << t)
-        assert complement_set(complement_set(m, t), t) == m
-
-
-def test_complement_family_examples():
-    f = family(3, [[1, 2], [1, 3], [2, 3]])
-    assert complement_family(f) == family(3, [[3], [2], [1]])
-    assert complement_family(SetFamily(3, ())) == SetFamily(3, ())
-    assert complement_family(family(4, [[]])) == family(4, [[1, 2, 3, 4]])
-    assert complement_family(complement_family(f)) == f
 
 
 def test_family_canonicalization():
@@ -142,17 +117,17 @@ def test_star_matches_oracle_and_involutes():
 # --- up-closures -----------------------------------------------------------
 
 def test_principal_upset_of_empty_set_is_power_set():
-    up = principal_upset(0, 3)
+    up = up_closure(Clutter(3, (0,)))
     assert up == SetFamily(3, tuple(range(8)))
 
 
 def test_principal_upset_of_ground_set_is_itself():
-    up = principal_upset(full_mask(4), 4)
+    up = up_closure(Clutter(4, (full_mask(4),)))
     assert up == SetFamily(4, (full_mask(4),))
 
 
 def test_principal_upset_singleton_t4():
-    up = principal_upset(mask_of([2], 4), 4)
+    up = up_closure(Clutter(4, (mask_of([2], 4),)))
     assert len(up) == 8
     counts = [0] * 5
     for m in up:
